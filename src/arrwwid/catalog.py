@@ -23,7 +23,7 @@ class CatalogEntry:
     """
 
     def __init__(self, name, dim, kind, expected_degree, expected_arrwwid,
-                 window_kappa=Fraction(2), window_side="min",
+                 window_kappa=Fraction(2),
                  edge_connected=None, has_diagonal=None, has_jumps=None,
                  entry_exit=None, notes=""):
         self.name = name
@@ -32,7 +32,6 @@ class CatalogEntry:
         self.expected_degree = expected_degree
         self.expected_arrwwid = expected_arrwwid
         self.window_kappa = window_kappa
-        self.window_side = window_side
         self.edge_connected = edge_connected
         self.has_diagonal = has_diagonal
         self.has_jumps = has_jumps

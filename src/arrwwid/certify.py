@@ -21,7 +21,7 @@ from fractions import Fraction
 from .exact import coord
 from .transforms import Similarity
 from .rules import RuleError
-from .expand import tile_at
+from .expand import tile_at, walk
 
 
 class UnsupportedShapeError(RuleError):
@@ -293,16 +293,9 @@ def _measure_degree(rs, point, depth, bound):
 
 
 def _tiles_at_point(rs, point, depth):
-    count = 0
-    stack = [(rs.unit, Similarity.identity(rs.dim), 0)]
-    while stack:
-        rule_name, transform, level = stack.pop()
-        geom = rs.rules[rule_name].base.transform(transform)
-        if not geom.contains_point(point):
-            continue
-        if level == depth:
-            count += 1
-            continue
-        for ch in rs.rules[rule_name].children:
-            stack.append((ch.rule, transform.compose(ch.placement), level + 1))
-    return count
+    rules = rs.rules
+
+    def misses(address, rule_name, transform, rev, lo, length):
+        return not rules[rule_name].base.transform(transform).contains_point(point)
+
+    return sum(1 for _ in walk(rs, depth, prune=misses))

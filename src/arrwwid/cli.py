@@ -89,8 +89,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="arrwwid",
                                      description="recursive tilings, scanning "
                                                  "orders and their fragmentation")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; analyses are sequential")
     sub = parser.add_subparsers(dest="command")
 
     def add(name, **kw):
@@ -159,7 +157,8 @@ def main(argv=None):
     p.add_argument("--points", type=int, default=10 ** 4)
     p.add_argument("--queries", type=int, default=50)
     p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, default=None,
+                   help="expansion depth for every order (default: per-order automatic)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="1,10,100,1000,10000")
 

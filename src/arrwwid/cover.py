@@ -17,10 +17,10 @@ import numpy as np
 
 from .exact import ZERO, ONE, coord
 from .shapes import Box
-from .transforms import Similarity
 from .rules import RuleError
-from .expand import BudgetError, DEFAULT_TILE_BUDGET, count_tiles
-from .curves import tile_interval, _relative_areas
+from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, lattice_pitch, prefix_table,
+                     scan_raster, walk, _vertex_stats_grid)
+from .curves import Interval
 
 
 class QueryRange:
@@ -101,10 +101,11 @@ class QueryRange:
 
 
 class CoverReport:
-    def __init__(self, query, level, tiles, fragments, total_area, measure):
+    def __init__(self, query, level, tiles, intervals, fragments, total_area, measure):
         self.query = query
         self.level = level
         self.tiles = tiles                    # addresses, in scanning order
+        self.intervals = intervals            # each tile's parameter Interval
         self.fragments = fragments            # list of address runs
         self.total_area = total_area
         self._measure = measure
@@ -178,30 +179,26 @@ def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET
             level = canonical_level(rs, q.radius, kappa)
         else:
             level = canonical_level(rs, max(q.half_extents), kappa)
-    tiles = []
-    visited = [0]
+    base = rs.unit_rule.base
+    rules = rs.rules
+    visited = 0
 
-    def rec(rule_name, transform, address, depth):
-        visited[0] += 1
-        if visited[0] > budget:
+    def misses(address, rule_name, transform, rev, lo, length):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
             raise BudgetError("cover descent exceeded budget")
-        geom = rs.rules[rule_name].base.transform(transform)
-        bb = geom if isinstance(geom, Box) else geom.bounding_box()
-        if not q.intersects_box(bb):
-            return
-        if depth == level:
-            tiles.append((address, geom))
-            return
-        for i, ch in enumerate(rs.rules[rule_name].children):
-            rec(ch.rule, transform.compose(ch.placement), address + (i,), depth + 1)
+        geom = rules[rule_name].base.transform(transform)
+        return not q.intersects_box(geom if isinstance(geom, Box) else geom.bounding_box())
 
-    rec(rs.unit, Similarity.identity(rs.dim), (), 0)
-    total = ZERO
-    for _, g in tiles:
-        total = total + g.measure()
-    order = sorted(range(len(tiles)), key=lambda i: tile_interval(rs, tiles[i][0]).lo)
-    addresses = [tiles[i][0] for i in order]
-    return CoverReport(q, level, addresses, [addresses] if addresses else [],
+    leaves = list(walk(rs, level, prune=misses, scan=True))
+    den = prefix_table(rs)[0] ** level
+    addresses = [leaf[0] for leaf in leaves]
+    intervals = [Interval(Fraction(lo, den), Fraction(lo + n, den))
+                 for _, _, _, _, lo, n in leaves]
+    # a tile's parameter length is its share of the unit's area
+    total = coord(Fraction(sum(leaf[5] for leaf in leaves), den)) * base.measure()
+    return CoverReport(q, level, addresses, intervals, [addresses] if addresses else [],
                        total, q.measure())
 
 
@@ -214,10 +211,8 @@ def cover_fragments(rs, q, level=None, kappa=Fraction(2), merge_budget=None,
     query measure.
     """
     report = cover_tiles(rs, q, level=level, kappa=kappa, budget=budget)
-    addresses = report.tiles
-    intervals = [tile_interval(rs, a) for a in addresses]
     runs = []
-    for addr, iv in zip(addresses, intervals):
+    for addr, iv in zip(report.tiles, report.intervals):
         if runs and runs[-1][-1][1].hi == iv.lo:
             runs[-1].append((addr, iv))
         else:
@@ -229,30 +224,20 @@ def cover_fragments(rs, q, level=None, kappa=Fraction(2), merge_budget=None,
 
 
 def _addresses_between(rs, lo, hi, level):
-    """Level addresses whose parameter interval lies inside [lo, hi]."""
-    out = []
+    """(address, interval) of the level tiles inside [lo, hi], in scanning order.
 
-    def rec(rule_name, address, i_lo, length, rev, depth):
-        if i_lo >= hi or i_lo + length <= lo:
-            return
-        if depth == level:
-            if lo <= i_lo and i_lo + length <= hi:
-                out.append((i_lo, address))
-            return
-        rels = _relative_areas(rs, rule_name)
-        rule = rs.rules[rule_name]
-        prefix = Fraction(0)
-        for i, ch in enumerate(rule.children):
-            if rev:
-                c_lo = i_lo + length * (1 - prefix - rels[i])
-            else:
-                c_lo = i_lo + length * prefix
-            rec(ch.rule, address + (i,), c_lo, length * rels[i],
-                rev ^ ch.reversed, depth + 1)
-            prefix += rels[i]
+    lo and hi are ends of level tiles, so every level tile lies either inside
+    [lo, hi] or outside it.
+    """
+    den = prefix_table(rs)[0]
 
-    rec(rs.unit, (), Fraction(0), Fraction(1), False, 0)
-    return [a for _, a in sorted(out)]
+    def outside(address, rule_name, transform, rev, t_lo, length):
+        scale = den ** len(address)
+        return t_lo >= hi * scale or t_lo + length <= lo * scale
+
+    scale = den ** level
+    return [(leaf[0], Interval(Fraction(leaf[4], scale), Fraction(leaf[4] + leaf[5], scale)))
+            for leaf in walk(rs, level, prune=outside, scan=True)]
 
 
 def _merge_runs(rs, runs, report, merge_budget):
@@ -273,9 +258,7 @@ def _merge_runs(rs, runs, report, merge_budget):
         if float(total + added) > merge_budget * measure:
             break
         total = total + added
-        gap_addrs = _addresses_between(rs, runs[i][-1][1].hi,
-                                       runs[i + 1][0][1].lo, level)
-        fillers = [(a, tile_interval(rs, a)) for a in gap_addrs]
+        fillers = _addresses_between(rs, runs[i][-1][1].hi, runs[i + 1][0][1].lo, level)
         runs[i:i + 2] = [runs[i] + fillers + runs[i + 1]]
     report.total_area = total
     return runs
@@ -349,71 +332,6 @@ def window_radii(rs, depth, kappa, n):
     return out
 
 
-def _is_unit_grid(rs):
-    """Uniform rule set whose tiles at each level live on a square lattice."""
-    from .expand import lattice_pitch
-    if not (rs.is_rectilinear() and rs.is_uniform()):
-        return False
-    try:
-        return lattice_pitch(rs, 1) is not None
-    except Exception:
-        return False
-
-
-def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
-    """Integer grid of scan positions for a rectilinear lattice expansion."""
-    from .expand import lattice_pitch
-    if count_tiles(rs, depth) > budget:
-        raise BudgetError("raster exceeds tile budget")
-    pitch = lattice_pitch(rs, max(depth, 1))
-    base = rs.unit_rule.base
-    dim = rs.dim
-    shape = []
-    for l, h in zip(base.lo, base.hi):
-        n = (h.as_fraction() - l.as_fraction()) / pitch
-        shape.append(int(n))
-    ids = np.full(shape, -1, dtype=np.int64)
-    counter = [0]
-
-    def rec(rule_name, transform, rev, level):
-        if level == depth:
-            geom = rs.rules[rule_name].base.transform(transform)
-            sl = []
-            for ax in range(dim):
-                lo = (geom.lo[ax].as_fraction() - base.lo[ax].as_fraction()) / pitch
-                hi = (geom.hi[ax].as_fraction() - base.lo[ax].as_fraction()) / pitch
-                sl.append(slice(int(lo), int(hi)))
-            ids[tuple(sl)] = counter[0]
-            counter[0] += 1
-            return
-        children = rs.rules[rule_name].children
-        order = range(len(children) - 1, -1, -1) if rev else range(len(children))
-        for i in order:
-            ch = children[i]
-            rec(ch.rule, transform.compose(ch.placement), rev ^ ch.reversed, level + 1)
-
-    rec(rs.unit, Similarity.identity(dim), False, 0)
-    if (ids < 0).any():
-        raise RuleError("scan raster left holes")
-    return ids, pitch
-
-
-def _vertex_stats_grid(ids):
-    """(tiles, fragments) per interior lattice vertex, vectorized."""
-    dim = ids.ndim
-    stacks = []
-    import itertools
-    for off in itertools.product((0, 1), repeat=dim):
-        sl = tuple(slice(o, s - 1 + o) for o, s in zip(off, ids.shape))
-        stacks.append(ids[sl])
-    arr = np.stack(stacks, axis=-1).reshape(-1, 2 ** dim)
-    arr = np.sort(arr, axis=1)
-    diffs = np.diff(arr, axis=1)
-    tiles = (diffs != 0).sum(axis=1) + 1
-    fragments = (diffs > 1).sum(axis=1) + 1
-    return tiles, fragments
-
-
 def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
                      budget=DEFAULT_TILE_BUDGET):
     """Worst cover counts over the plan's queries, with witnesses.
@@ -438,7 +356,7 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
             max_frag = frag_count
             frag_w = Witness(center, radius, level, frag_count)
 
-    grid_ok = _is_unit_grid(rs)
+    grid_ok = lattice_pitch(rs, 1) is not None
     for depth in plan.depths:
         radii = window_radii(rs, depth, kappa, plan.radii_per_depth)
         if grid_ok:
@@ -459,7 +377,6 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
                         consider(0, int(fragments[idx]), center, r, depth)
         else:
             # exact vertex enumeration through expansion
-            from .expand import expand
             ts = expand(rs, depth, budget=budget)
             unit_base = rs.unit_rule.base
             for p, incident in ts.vertex_index.items():

@@ -15,7 +15,8 @@ from fractions import Fraction
 from .exact import ONE, coord
 from .shapes import Box
 from .transforms import Similarity, fixed_point
-from .expand import BudgetError, count_tiles, DEFAULT_TILE_BUDGET
+from .expand import (BudgetError, count_tiles, DEFAULT_TILE_BUDGET, prefix_table,
+                     _child_span, walk)
 from .rules import RuleError
 
 
@@ -41,52 +42,23 @@ class Interval:
         return "Interval(%s, %s)" % (self.lo, self.hi)
 
 
-import weakref
-
-_REL_CACHE = weakref.WeakKeyDictionary()
-
-
-def _relative_areas(rs, rule_name):
-    """Exact child areas relative to the rule's base, in child list order."""
-    per_rule = _REL_CACHE.get(rs)
-    if per_rule is None:
-        per_rule = _REL_CACHE[rs] = {}
-    cached = per_rule.get(rule_name)
-    if cached is not None:
-        return cached
-    rule = rs.rules[rule_name]
-    base_area = rule.base.measure()
-    rels = []
-    for ch in rule.children:
-        scale_pow = ch.placement.scale
-        for _ in range(rs.dim - 1):
-            scale_pow = scale_pow * ch.placement.scale
-        rel = (scale_pow * rs.rules[ch.rule].base.measure()) / base_area
-        rels.append(rel.as_fraction())
-    per_rule[rule_name] = rels
-    return rels
-
-
 def tile_interval(rs, address):
     """Exact [x, y] such that the tile at `address` equals fragment U[x, y]."""
-    lo, length = Fraction(0), Fraction(1)
+    den, ends = prefix_table(rs)
+    lo, length = 0, 1
     rev = False
     rule_name = rs.unit
     for i in address:
         rule = rs.rules[rule_name]
         if not 0 <= i < len(rule.children):
             raise RuleError("invalid address component %d for rule %r" % (i, rule_name))
-        rels = _relative_areas(rs, rule_name)
-        prefix = sum(rels[:i], Fraction(0))
-        if rev:
-            new_lo = lo + length * (1 - prefix - rels[i])
-        else:
-            new_lo = lo + length * prefix
-        lo, length = new_lo, length * rels[i]
+        start, end = _child_span(den, ends[rule_name], i, rev)
+        lo, length = lo * den + length * start, length * (end - start)
         ch = rule.children[i]
         rev ^= ch.reversed
         rule_name = ch.rule
-    return Interval(lo, lo + length)
+    scale = den ** len(address)
+    return Interval(Fraction(lo, scale), Fraction(lo + length, scale))
 
 
 def scan_leaves(rs, depth, budget=DEFAULT_TILE_BUDGET):
@@ -96,19 +68,7 @@ def scan_leaves(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """
     if count_tiles(rs, depth) > budget:
         raise BudgetError("scan of depth %d exceeds tile budget" % depth)
-
-    def rec(rule_name, transform, addr, rev, level):
-        if level == depth:
-            yield addr, rule_name, transform, rev
-            return
-        children = rs.rules[rule_name].children
-        order = range(len(children) - 1, -1, -1) if rev else range(len(children))
-        for i in order:
-            ch = children[i]
-            yield from rec(ch.rule, transform.compose(ch.placement),
-                           addr + (i,), rev ^ ch.reversed, level + 1)
-
-    yield from rec(rs.unit, Similarity.identity(rs.dim), (), False, 0)
+    return (leaf[:4] for leaf in walk(rs, depth, scan=True))
 
 
 # -- entry and exit gates -------------------------------------------------------
@@ -200,6 +160,7 @@ def index_to_point(rs, x, eps):
 
 
 def _descend(rs, x, eps, upper):
+    den, ends = prefix_table(rs)
     rule_name = rs.unit
     transform = Similarity.identity(rs.dim)
     rev = False
@@ -210,37 +171,17 @@ def _descend(rs, x, eps, upper):
         bb = geom if isinstance(geom, Box) else geom.bounding_box()
         if (bb.diameter_sq() - eps_sq).sign() < 0:
             return bb.center()
-        rels = _relative_areas(rs, rule_name)
         rule = rs.rules[rule_name]
-        # scanning-position intervals for each child index
-        chosen = None
+        # the child whose scanning-position interval holds x, on the side asked for
         for i in range(len(rule.children)):
-            prefix = sum(rels[:i], Fraction(0))
-            if rev:
-                c_lo = lo + length * (1 - prefix - rels[i])
-            else:
-                c_lo = lo + length * prefix
-            c_hi = c_lo + length * rels[i]
-            if (c_lo < x < c_hi) or (not upper and c_lo == x and x < c_hi) \
-                    or (upper and c_hi == x and c_lo < x):
-                chosen = (i, c_lo)
+            start, end = _child_span(den, ends[rule_name], i, rev)
+            c_lo = lo + length * Fraction(start, den)
+            c_hi = lo + length * Fraction(end, den)
+            if (c_lo < x <= c_hi) if upper else (c_lo <= x < c_hi):
                 break
-        if chosen is None:
-            # x sits exactly on a boundary; pick the side requested
-            best = None
-            for i in range(len(rule.children)):
-                prefix = sum(rels[:i], Fraction(0))
-                c_lo = lo + length * (1 - prefix - rels[i]) if rev else lo + length * prefix
-                c_hi = c_lo + length * rels[i]
-                if not upper and c_lo <= x < c_hi:
-                    best = (i, c_lo)
-                if upper and c_lo < x <= c_hi:
-                    best = (i, c_lo)
-            chosen = best
-        i, c_lo = chosen
         ch = rule.children[i]
         transform = transform.compose(ch.placement)
-        lo, length = c_lo, length * rels[i]
+        lo, length = c_lo, c_hi - c_lo
         rev ^= ch.reversed
         rule_name = ch.rule
 

@@ -1,7 +1,11 @@
-"""Expansion of rule sets into tile sets, with exact vertex analysis."""
+"""The one tile-tree traversal (`walk`) and what is built on it: expansion
+into tile sets with exact vertex analysis, and the scan-order lattice raster."""
 
 from __future__ import annotations
 
+import itertools
+import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -87,7 +91,6 @@ class TileSet:
 
 def _bucket_tiles(tiles):
     """Hash tiles into a float grid keyed by bucket tuple; returns (dict, h)."""
-    import itertools
     h = None
     for t in tiles[:64]:
         g = t.geometry
@@ -107,7 +110,6 @@ def _bucket_tiles(tiles):
 
 
 def _bucket_neighborhood(key, dim):
-    import itertools
     for off in itertools.product((-1, 0, 1), repeat=dim):
         yield tuple(k + o for k, o in zip(key, off))
 
@@ -120,6 +122,85 @@ def count_tiles(rs, depth):
     return counts[rs.unit]
 
 
+# -- the one tile-tree traversal ------------------------------------------------
+
+_PREFIX_CACHE = weakref.WeakKeyDictionary()
+
+
+def _relative_areas(rs, rule_name):
+    """Exact child areas relative to the rule's base, in child list order."""
+    rule = rs.rules[rule_name]
+    base_area = rule.base.measure()
+    rels = []
+    for ch in rule.children:
+        scale_pow = ch.placement.scale
+        for _ in range(rs.dim - 1):
+            scale_pow = scale_pow * ch.placement.scale
+        rel = (scale_pow * rs.rules[ch.rule].base.measure()) / base_area
+        rels.append(rel.as_fraction())
+    return rels
+
+
+def prefix_table(rs):
+    """Integer parameter offsets of every rule's children, computed once.
+
+    Returns (den, ends): den is the lcm of the denominators of all relative
+    child areas, and ends[rule] lists the running sums of den times those
+    areas, starting at 0, so child i of a rule covers [ends[i], ends[i + 1]]
+    out of den parts of its parent's parameter interval.
+    """
+    cached = _PREFIX_CACHE.get(rs)
+    if cached is None:
+        rels = {name: _relative_areas(rs, name) for name in rs.rules}
+        den = math.lcm(*(r.denominator for areas in rels.values() for r in areas))
+        ends = {name: list(itertools.accumulate((int(r * den) for r in areas), initial=0))
+                for name, areas in rels.items()}
+        cached = _PREFIX_CACHE[rs] = (den, ends)
+    return cached
+
+
+def _child_span(den, ends, i, rev):
+    """(start, end) of child i in den-ths of its parent's parameter interval;
+    a reversed parent runs its children from the end of its interval."""
+    if rev:
+        return den - ends[i + 1], den - ends[i]
+    return ends[i], ends[i + 1]
+
+
+def walk(rs, depth, prune=None, scan=False):
+    """Depth-first descent of the rule tree down to `depth`.
+
+    Yields (address, rule, transform, reversed, lo, length) for each kept
+    node at `depth`, in address order, or in scanning order when `scan` is
+    set (a reversed node runs its children backwards).  [lo, lo + length] is
+    the node's parameter interval as integer numerators over den**level, with
+    den from `prefix_table` and level = len(address).  `prune`, when given,
+    is called with the same six values on every node before it is expanded
+    or yielded; a true result drops the node and its whole subtree.
+    """
+    den, ends = prefix_table(rs)
+    rules = rs.rules
+    stack = [((), rs.unit, Similarity.identity(rs.dim), False, 0, 1)]
+    while stack:
+        node = stack.pop()
+        if prune is not None and prune(*node):
+            continue
+        address, rule_name, transform, rev, lo, length = node
+        if len(address) == depth:
+            yield node
+            continue
+        offsets = ends[rule_name]
+        children = rules[rule_name].children
+        # the stack pops last-pushed first: push in the reverse of the order wanted
+        order = range(len(children)) if scan and rev else range(len(children) - 1, -1, -1)
+        for i in order:
+            ch = children[i]
+            start, end = _child_span(den, offsets, i, rev)
+            stack.append((address + (i,), ch.rule, transform.compose(ch.placement),
+                          rev ^ ch.reversed, lo * den + length * start,
+                          length * (end - start)))
+
+
 def expand(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """Expand the unit rule `depth` levels; tiles come back in address order."""
     if depth < 0:
@@ -127,19 +208,9 @@ def expand(rs, depth, budget=DEFAULT_TILE_BUDGET):
     n = count_tiles(rs, depth)
     if n > budget:
         raise BudgetError("expansion would produce %d tiles (budget %d)" % (n, budget))
-    tiles = []
-    ident = Similarity.identity(rs.dim)
-
-    def rec(rule_name, transform, address, rev, level):
-        if level == depth:
-            geom = rs.rules[rule_name].base.transform(transform)
-            tiles.append(Tile(address, rule_name, transform, geom, rev))
-            return
-        for i, ch in enumerate(rs.rules[rule_name].children):
-            rec(ch.rule, transform.compose(ch.placement), address + (i,),
-                rev ^ ch.reversed, level + 1)
-
-    rec(rs.unit, ident, (), False, 0)
+    rules = rs.rules
+    tiles = [Tile(address, rule_name, transform, rules[rule_name].base.transform(transform), rev)
+             for address, rule_name, transform, rev, _, _ in walk(rs, depth)]
     return TileSet(rs, depth, tiles)
 
 
@@ -187,7 +258,7 @@ class LatticeRaster:
     """Tile-id grid for a rectilinear expansion whose cuts live on a lattice.
 
     `ids` is a numpy array indexed [ix, iy(, iz)] over unit cells of pitch
-    `pitch`; entry = position of the owning tile in address order.
+    `pitch`; entry = scanning-order position of the owning tile.
     """
 
     def __init__(self, ids, pitch, origin, depth):
@@ -196,88 +267,71 @@ class LatticeRaster:
         self.origin = origin
         self.depth = depth
 
-    def interior_vertex_ids(self):
-        """For 2D: (V, 4) array of the tile ids around each interior vertex."""
-        ids = self.ids
-        if ids.ndim == 2:
-            a = ids[:-1, :-1]
-            b = ids[1:, :-1]
-            c = ids[:-1, 1:]
-            d = ids[1:, 1:]
-            return np.stack([a, b, c, d], axis=-1).reshape(-1, 4)
-        a = []
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    a.append(ids[dx:ids.shape[0] - 1 + dx,
-                                 dy:ids.shape[1] - 1 + dy,
-                                 dz:ids.shape[2] - 1 + dz])
-        return np.stack(a, axis=-1).reshape(-1, 8)
-
 
 def lattice_pitch(rs, depth):
     """Common lattice pitch of all tile corners at `depth`, or None."""
-    if not rs.is_rectilinear():
+    if not (rs.is_rectilinear() and rs.is_uniform()):
         return None
-    ts = expand(rs, min(depth, 1))
-    denom = 1
-    for t in ts.tiles:
-        for v in list(t.geometry.lo) + list(t.geometry.hi):
-            fr = v.as_fraction()
-            denom = denom * fr.denominator // _gcd(denom, fr.denominator)
-    scale = rs.child_scale().as_fraction() if rs.is_uniform() else None
-    if scale is None:
+    corners = [v for t in expand(rs, min(depth, 1)) for v in t.geometry.lo + t.geometry.hi]
+    scale = rs.child_scale()
+    if not (scale.is_rational and all(v.is_rational for v in corners)):
         return None
-    pitch = Fraction(1, denom)
-    for _ in range(depth - 1):
-        pitch *= scale
-    return pitch
+    denom = math.lcm(*(v.as_fraction().denominator for v in corners))
+    return Fraction(1, denom) * scale.as_fraction() ** max(depth - 1, 0)
 
 
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
+def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
+    """Scanning positions painted on the cut lattice of a rectilinear expansion.
 
-
-def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):
-    """Rasterize a uniform rectilinear expansion onto its cut lattice."""
+    Returns (ids, pitch): ids[ix, iy(, iz)] is the scanning-order position
+    of the tile owning the lattice cell of side `pitch` at that index,
+    counted from the unit's lower corner.
+    """
+    if count_tiles(rs, depth) > budget:
+        raise BudgetError("raster exceeds tile budget")
     pitch = lattice_pitch(rs, max(depth, 1))
     if pitch is None:
         raise RuleError("rule set has no common cut lattice")
     base = rs.unit_rule.base
-    if not isinstance(base, Box):
-        raise RuleError("rasterization needs a box unit tile")
-    dim = rs.dim
+    origin = [v.as_fraction() for v in base.lo]
     shape = []
-    for l, h in zip(base.lo, base.hi):
-        n = (h.as_fraction() - l.as_fraction()) / pitch
+    for o, h in zip(origin, base.hi):
+        n = (h.as_fraction() - o) / pitch
         if n.denominator != 1:
             raise RuleError("unit extent is not a lattice multiple")
         shape.append(int(n))
-    import math
     if math.prod(shape) > budget * 64:
         raise BudgetError("raster of %s cells exceeds budget" % shape)
     ids = np.full(shape, -1, dtype=np.int64)
-    counter = [0]
-
-    def rec(rule_name, transform, level):
-        if level == depth:
-            geom = rs.rules[rule_name].base.transform(transform)
-            sl = []
-            for ax in range(dim):
-                lo = (geom.lo[ax].as_fraction() - base.lo[ax].as_fraction()) / pitch
-                hi = (geom.hi[ax].as_fraction() - base.lo[ax].as_fraction()) / pitch
-                sl.append(slice(int(lo), int(hi)))
-            ids[tuple(sl)] = counter[0]
-            counter[0] += 1
-            return
-        for ch in rs.rules[rule_name].children:
-            rec(ch.rule, transform.compose(ch.placement), level + 1)
-
-    rec(rs.unit, Similarity.identity(dim), 0)
+    rules = rs.rules
+    for pos, (_, rule_name, transform, _, _, _) in enumerate(walk(rs, depth, scan=True)):
+        geom = rules[rule_name].base.transform(transform)
+        ids[tuple(slice(int((l.as_fraction() - o) / pitch), int((h.as_fraction() - o) / pitch))
+                  for l, h, o in zip(geom.lo, geom.hi, origin))] = pos
     if (ids < 0).any():
-        raise RuleError("rasterization left uncovered cells (invalid rule set?)")
-    return LatticeRaster(ids, pitch, base.lo, depth)
+        raise RuleError("raster left uncovered cells (invalid rule set?)")
+    return ids, pitch
+
+
+def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):
+    """The scan raster of a uniform rectilinear expansion, as a LatticeRaster."""
+    ids, pitch = scan_raster(rs, depth, budget)
+    return LatticeRaster(ids, pitch, rs.unit_rule.base.lo, depth)
+
+
+def _vertex_stats_grid(ids, window=None):
+    """(tiles, fragments) per block of raster cells, vectorized.
+
+    A block is `window` cells along each axis, by default 2, the cells
+    around one interior lattice vertex; fragments counts the runs of
+    consecutive scanning positions among the block's tiles.
+    """
+    window = window or (2,) * ids.ndim
+    blocks = [ids[tuple(slice(o, s - w + 1 + o) for o, w, s in zip(off, window, ids.shape))]
+              for off in itertools.product(*map(range, window))]
+    arr = np.sort(np.stack(blocks, axis=-1).reshape(-1, len(blocks)), axis=1)
+    diffs = np.diff(arr, axis=1)
+    return (diffs != 0).sum(axis=1) + 1, (diffs > 1).sum(axis=1) + 1
 
 
 def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
@@ -286,31 +340,8 @@ def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
     In 3D this also inspects lattice edge midpoints, where boxes can meet
     without sharing a lattice vertex.
     """
-    raster = rasterize(rs, depth, budget)
-    ids = raster.ids
-    best = 0
-    if ids.ndim == 2:
-        quad = raster.interior_vertex_ids()
-        best = _max_distinct(quad)
-    else:
-        oct_ = raster.interior_vertex_ids()
-        best = _max_distinct(oct_)
-        # interior points of lattice edges: 4 cells around each edge direction
-        for axis in range(3):
-            stacks = []
-            for da in (0, 1):
-                for db in (0, 1):
-                    idx = [slice(None)] * 3
-                    axes = [a for a in range(3) if a != axis]
-                    idx[axes[0]] = slice(da, ids.shape[axes[0]] - 1 + da)
-                    idx[axes[1]] = slice(db, ids.shape[axes[1]] - 1 + db)
-                    stacks.append(ids[tuple(idx)])
-            quad = np.stack(stacks, axis=-1).reshape(-1, 4)
-            best = max(best, _max_distinct(quad))
-    return best
-
-
-def _max_distinct(rows):
-    rows = np.sort(rows, axis=1)
-    distinct = (np.diff(rows, axis=1) != 0).sum(axis=1) + 1
-    return int(distinct.max()) if len(rows) else 0
+    ids = rasterize(rs, depth, budget).ids
+    windows = [(2,) * ids.ndim]
+    if ids.ndim == 3:
+        windows += [tuple(1 if a == axis else 2 for a in range(3)) for axis in range(3)]
+    return max(int(_vertex_stats_grid(ids, w)[0].max(initial=0)) for w in windows)

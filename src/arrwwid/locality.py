@@ -15,9 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cover import cover_fragments, QueryRange
-from .curves import tile_interval
-from .expand import count_tiles
+from .exact import coord
+from .expand import (BudgetError, DEFAULT_TILE_BUDGET, count_tiles, lattice_pitch,
+                     prefix_table, scan_raster, walk)
 from .rules import RuleError
+from .shapes import Box
 
 
 class CostModel:
@@ -78,14 +80,16 @@ class CostReport:
 
 
 def point_indices(rs, points, depth):
-    """Scan index of the depth-level tile containing each point."""
-    from .cover import _is_unit_grid, scan_raster
-    base = rs.unit_rule.base
-    n_leaves = count_tiles(rs, depth)
-    if _is_unit_grid(rs):
+    """Scan index of the depth-level tile owning each point.
+
+    A tile owns the points p with lo <= p < hi on each axis, and also those
+    on the unit tile's upper faces; lattice rule sets read the owner off the
+    scan raster, others descend the rule tree.
+    """
+    if lattice_pitch(rs, 1) is not None:
         ids, pitch = scan_raster(rs, depth)
         p = float(pitch)
-        lo = [float(v) for v in base.lo]
+        lo = [float(v) for v in rs.unit_rule.base.lo]
         pts = np.asarray(points, dtype=float)
         idx = []
         for ax in range(rs.dim):
@@ -99,25 +103,20 @@ def point_indices(rs, points, depth):
 
 
 def _descend_index(rs, pt, depth):
-    from .exact import coord
-    from .transforms import Similarity
     p = tuple(coord(Fraction(v).limit_denominator(10 ** 12)) for v in pt)
-    rule_name = rs.unit
-    transform = Similarity.identity(rs.dim)
-    address = ()
-    for _ in range(depth):
-        for i, ch in enumerate(rs.rules[rule_name].children):
-            t2 = transform.compose(ch.placement)
-            geom = rs.rules[ch.rule].base.transform(t2)
-            if geom.contains_point(p):
-                transform = t2
-                address = address + (i,)
-                rule_name = ch.rule
-                break
-        else:
-            raise RuleError("point %r escaped the unit tile" % (pt,))
-    iv = tile_interval(rs, address)
-    return int(iv.lo * count_tiles(rs, depth))
+    unit = rs.unit_rule.base
+    rules = rs.rules
+
+    def misses(address, rule_name, transform, rev, lo, length):
+        geom = rules[rule_name].base.transform(transform)
+        if not isinstance(geom, Box):
+            return not geom.contains_point(p)
+        return any((v - l).sign() < 0 or (v - h).sign() > 0 or (v == h and h != u)
+                   for v, l, h, u in zip(p, geom.lo, geom.hi, unit.hi))
+
+    for _, _, _, _, lo, _ in walk(rs, depth, prune=misses):
+        return lo * count_tiles(rs, depth) // prefix_table(rs)[0] ** depth
+    raise RuleError("point %r escaped the unit tile" % (pt,))
 
 
 def auto_depth(rs, target=6, max_leaves=20000):
@@ -140,9 +139,10 @@ def simulate(rs, points, queries, model, depth=None, kappa=Fraction(2),
     for q in queries:
         rep = cover_fragments(rs, q, kappa=kappa)
         scanned = 0
+        interval = dict(zip(rep.tiles, rep.intervals))
         for run in rep.fragments:
-            lo = tile_interval(rs, run[0]).lo * n_leaves
-            hi = tile_interval(rs, run[-1]).hi * n_leaves
+            lo = interval[run[0]].lo * n_leaves
+            hi = interval[run[-1]].hi * n_leaves
             a = int(np.searchsorted(idx, int(lo), side="left"))
             b = int(np.searchsorted(idx, int(math.ceil(hi)) - 1, side="right"))
             scanned += b - a
@@ -192,14 +192,21 @@ def comparison_table(orders, points, queries, ratios, depth=None, scan_cost=1.0)
 
     Depth defaults to the deepest level per order with a manageable leaf
     count, so different subdivision sizes line up at comparable tile sizes.
+    Every order's leaf count is checked against the tile budget before any
+    order is simulated.
     """
+    depths = {name: depth if depth is not None else auto_depth(rs)
+              for name, rs in orders.items()}
+    for name, rs in orders.items():
+        n = count_tiles(rs, depths[name])
+        if n > DEFAULT_TILE_BUDGET:
+            raise BudgetError("%s at depth %d has %d tiles (budget %d)"
+                              % (name, depths[name], n, DEFAULT_TILE_BUDGET))
     rows = []
     reports = {}
+    unit = CostModel(seek_cost=1.0, scan_cost=0.0)
     for name, rs in orders.items():
-        d = depth if depth is not None else auto_depth(rs)
-        unit = CostModel(seek_cost=1.0, scan_cost=0.0)
-        base = simulate(rs, points, queries, unit, depth=d, name=name)
-        reports[name] = base
+        reports[name] = simulate(rs, points, queries, unit, depth=depths[name], name=name)
     for ratio in ratios:
         costs = {}
         for name, base in reports.items():

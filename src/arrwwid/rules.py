@@ -136,7 +136,7 @@ class RuleSet:
         return (self.unit, tuple(sorted((n, r.key()) for n, r in self.rules.items())))
 
     def __eq__(self, other):
-        return isinstance(other, RuleSet) and self.key() == other.key()
+        return self is other or (isinstance(other, RuleSet) and self.key() == other.key())
 
     def __hash__(self):
         h = getattr(self, "_hash", None)

@@ -107,3 +107,25 @@ def test_simulate_csv(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1 + 4
     assert "total_cost" in lines[0]
+
+
+def test_simulate_readme_example_uses_auto_depth(capsys):
+    code, out = run(capsys, "simulate", "--order", "coil", "--order", "hilbert",
+                    "--order", "zorder", "--order", "dekking",
+                    "--points", "300", "--queries", "2")
+    assert code == 0
+    depths = {row["order"]: row["depth"] for row in json.loads(out)}
+    assert depths == {"coil": 4, "hilbert": 6, "zorder": 6, "dekking": 3}
+
+
+def test_simulate_over_budget_exits_before_any_raster(capsys, monkeypatch):
+    import arrwwid.locality
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a raster was built before the budget check")
+
+    monkeypatch.setattr(arrwwid.locality, "scan_raster", no_raster)
+    code = main(["simulate", "--order", "hilbert", "--order", "dekking", "--depth", "6",
+                 "--points", "300", "--queries", "2"])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arrwwid.cover import QueryRange, cover_fragments
+from arrwwid import catalog
+from arrwwid.cover import QueryRange, cover_fragments, scan_raster
 from arrwwid.locality import (CostModel, simulate, uniform_points, ball_queries,
-                              comparison_table, auto_depth)
+                              comparison_table, auto_depth, _descend_index)
 
 
 def test_whole_domain_query(hilbert):
@@ -79,3 +80,16 @@ def test_comparison_table_spread(hilbert, zorder):
         costs = [r["total_cost"] for r in group]
         spread = (max(costs) - min(costs)) / min(costs)
         assert group[0]["spread_at_ratio"] == pytest.approx(spread)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "dekking", "kochel"])
+def test_descent_owner_matches_raster_on_lattice_points(name):
+    # half-open ownership: (i/n, j/n) belongs to cell (i, j), clipped at the
+    # unit's upper faces, exactly as the raster's floor-and-clip reads it
+    rs = catalog.builtin(name).ruleset
+    ids, _ = scan_raster(rs, 2)
+    n = ids.shape[0]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            owner = _descend_index(rs, (i / n, j / n), 2)
+            assert owner == ids[min(i, n - 1), min(j, n - 1)], (i, j)
