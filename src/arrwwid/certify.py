@@ -3,12 +3,18 @@
 The certifier explores a finite abstraction of all expansions: edge
 configurations (how two same-level tiles can abut along an axis line, with
 their exact relative offset) and vertex configurations (the arrangement of
-tiles around one point).  Starting from each rule's internal adjacencies it
-applies one refinement step repeatedly; if the set closes without ever seeing
-a vertex with more than `bound` incident tiles, no expansion of any depth can
-contain one.  Every configuration is realizable, so a violating vertex
-configuration yields a concrete counterexample vertex, which is re-verified
-against an actual expansion before being reported.
+tiles around one point).  Starting from each tile type's internal adjacencies
+it applies one refinement step repeatedly; if the set closes without ever
+seeing a vertex with more than `bound` incident tiles, no expansion of any
+depth can contain one.  Every configuration is realizable, so a violating
+vertex configuration yields a concrete counterexample vertex, which is
+re-verified against an actual expansion before being reported.
+
+One integer engine runs the closure: a `Layout` holds one tile type's child
+boxes on an integer lattice and `closure` refines configurations over a table
+of child types.  `certify_max_degree` feeds it the layouts of a rule set; the
+rectangle search feeds it the layouts of one packing under many transform
+assignments.
 
 Supports 2D rule sets with box bases, axis-aligned child placements and one
 common child scale.
@@ -17,6 +23,7 @@ common child scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exact import coord
 from .transforms import Similarity
@@ -34,6 +41,9 @@ class DegreeCertificate:
     status is "certified", "counterexample" or "inconclusive".  For
     counterexamples, `vertex` is an exact point, `degree` the measured number
     of tiles meeting there and `depth` an expansion depth exhibiting it.
+    `configurations` holds the closure's configurations, with offsets as
+    integers on the layout lattice (Fractions only when the inverse child
+    scale is not an integer).
     """
 
     def __init__(self, bound, status, configurations=None, vertex=None,
@@ -58,18 +68,158 @@ class DegreeCertificate:
             self.bound, self.status, len(self.configurations), self.steps)
 
 
-class _Layout:
-    """One tile type's subdivision, normalized to min corner (0, 0)."""
+class Layout:
+    """One tile type's child boxes (x0, y0, x1, y1), min corner at (0, 0).
 
-    __slots__ = ("w", "h", "children", "scale", "shift", "ortho")
+    `k` is the inverse child scale; every offset below is already multiplied
+    by k, that is, given in the children's own units.  Precomputed once:
+    - pairs: (axis, i, j, delta) for each child j abutting child i across axis;
+    - corners: (point, around(point)) for each child corner strictly inside;
+    - high[axis], low[axis]: (i, box) for the children on the tile's upper or
+      lower side across axis.
+    `around` and `across` remember their answers, so a closure that meets the
+    same geometry again under other child types only relabels it.
+    """
 
-    def __init__(self, w, h, children, scale, shift, ortho):
-        self.w = w
-        self.h = h
-        self.children = children   # list of (type_key, x0, y0, x1, y1) Fractions
-        self.scale = scale
-        self.shift = shift         # min corner of ortho(base), exact point
-        self.ortho = ortho
+    __slots__ = ("w", "h", "boxes", "k", "pairs", "corners", "high", "low",
+                 "_around", "_across")
+
+    def __init__(self, w, h, boxes, k):
+        self.w, self.h, self.k = w, h, k
+        self.boxes = boxes = tuple(boxes)
+        self._around, self._across = {}, {}
+        pairs = []
+        for i, (ax0, ay0, ax1, ay1) in enumerate(boxes):
+            for j, (bx0, by0, bx1, by1) in enumerate(boxes):
+                if ax1 == bx0 and min(ay1, by1) > max(ay0, by0):
+                    pairs.append((0, i, j, k * (by0 - ay0)))
+                elif ay1 == by0 and min(ax1, bx1) > max(ax0, bx0):
+                    pairs.append((1, i, j, k * (bx0 - ax0)))
+        self.pairs = tuple(pairs)
+        points = {}
+        for x0, y0, x1, y1 in boxes:
+            for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+                if 0 < p[0] < w and 0 < p[1] < h:
+                    points[p] = None
+        self.corners = tuple((p, self.around(*p)) for p in points)
+        on = list(enumerate(boxes))
+        self.high = (tuple(c for c in on if c[1][2] == w),
+                     tuple(c for c in on if c[1][3] == h))
+        self.low = (tuple(c for c in on if c[1][0] == 0),
+                    tuple(c for c in on if c[1][1] == 0))
+
+    def around(self, px, py):
+        """(i, dx, dy) for each child whose closed box holds (px, py), with
+        the child's min corner relative to the point."""
+        inc = self._around.get((px, py))
+        if inc is None:
+            k = self.k
+            inc = self._around[px, py] = tuple(
+                (i, k * (x0 - px), k * (y0 - py))
+                for i, (x0, y0, x1, y1) in enumerate(self.boxes)
+                if x0 <= px <= x1 and y0 <= py <= y1)
+        return inc
+
+    def across(self, axis, other, delta):
+        """Children meeting where tile `other` abuts this tile's upper side
+        across axis, shifted along it by delta.
+
+        Returns (pairs, cuts): pairs (i, j, offset) of abutting children, i
+        here and j in `other`; cuts (point, around here, around in `other`)
+        for each child corner strictly inside the shared segment, sorted
+        along it, with the point in this tile's frame.
+        """
+        hit = self._across.get((axis, other, delta))
+        if hit is None:
+            # children on the shared line, as intervals along it
+            if axis == 0:
+                line, seg_hi, lo, hi = self.w, min(self.h, delta + other.h), 1, 3
+            else:
+                line, seg_hi, lo, hi = self.h, min(self.w, delta + other.w), 0, 2
+            seg_lo = max(0, delta)
+            a_on = [(i, b[lo], b[hi]) for i, b in self.high[axis]]
+            b_on = [(j, b[lo] + delta, b[hi] + delta) for j, b in other.low[axis]]
+            pairs = tuple((i, j, self.k * (b_lo - a_lo))
+                          for i, a_lo, a_hi in a_on for j, b_lo, b_hi in b_on
+                          if min(a_hi, b_hi) > max(a_lo, b_lo))
+            cuts = []
+            for v in sorted({v for _, v0, v1 in a_on + b_on for v in (v0, v1)
+                             if seg_lo < v < seg_hi}):
+                if axis == 0:
+                    here, there = (line, v), (0, v - delta)
+                else:
+                    here, there = (v, line), (v - delta, 0)
+                cuts.append((here, self.around(*here), other.around(*there)))
+            hit = self._across[axis, other, delta] = (pairs, tuple(cuts))
+        return hit
+
+
+def closure(layouts, kids, bound, budget):
+    """Close the configurations of a type table, stopping at degree > bound.
+
+    layouts[t] is tile type t's Layout and kids[t][i] the type of its child
+    i; the initial configurations come from every type in `kids`, in order.
+    Edge configurations are ("E", axis, ta, tb, delta): tile tb abuts tile
+    ta's upper side across axis, shifted by delta.  Vertex configurations
+    are ("V", sorted (type, dx, dy) entries), one per tile at the vertex.
+    Configurations are popped LIFO and a vertex is checked against `bound`
+    when popped.
+
+    Returns (status, steps, seen, last).  `seen` maps each configuration to
+    (parent, a, b): the child pair (a, b) or the cut point (a, b) of an edge
+    parent, (None, None) after a vertex parent, and for an initial one
+    (None, type, (i, j) or corner point).  `last` is the violating vertex.
+    """
+    seen = {}
+    stack = []
+    for t, ts in kids.items():
+        lay = layouts[t]
+        for axis, i, j, delta in lay.pairs:
+            cfg = ("E", axis, ts[i], ts[j], delta)
+            if cfg not in seen:
+                seen[cfg] = (None, t, (i, j))
+                stack.append(cfg)
+        for point, inc in lay.corners:
+            cfg = ("V", tuple(sorted((ts[i], dx, dy) for i, dx, dy in inc)))
+            if cfg not in seen:
+                seen[cfg] = (None, t, point)
+                stack.append(cfg)
+
+    steps = 0
+    while stack:
+        if steps >= budget:
+            return "inconclusive", steps, seen, None
+        cfg = stack.pop()
+        steps += 1
+        if cfg[0] == "V":
+            if len(cfg[1]) > bound:
+                return "counterexample", steps, seen, cfg
+            entries = []
+            for t, dx, dy in cfg[1]:
+                ts = kids[t]
+                # the vertex sits at (-dx, -dy) in the tile's own frame
+                entries += [(ts[i], cx, cy) for i, cx, cy in layouts[t].around(-dx, -dy)]
+            new = ("V", tuple(sorted(entries)))
+            if new not in seen:
+                seen[new] = (cfg, None, None)
+                stack.append(new)
+            continue
+        _, axis, ta, tb, delta = cfg
+        kids_a, kids_b = kids[ta], kids[tb]
+        pairs, cuts = layouts[ta].across(axis, layouts[tb], delta)
+        for i, j, offset in pairs:
+            new = ("E", axis, kids_a[i], kids_b[j], offset)
+            if new not in seen:
+                seen[new] = (cfg, i, j)
+                stack.append(new)
+        for point, inc_a, inc_b in cuts:
+            entries = [(kids_a[i], dx, dy) for i, dx, dy in inc_a]
+            entries += [(kids_b[j], dx, dy) for j, dx, dy in inc_b]
+            new = ("V", tuple(sorted(entries)))
+            if new not in seen:
+                seen[new] = (cfg,) + point
+                stack.append(new)
+    return "certified", steps, seen, None
 
 
 def _require_supported(rs):
@@ -82,214 +232,92 @@ def _require_supported(rs):
         raise UnsupportedShapeError("degree certification needs one common child scale")
 
 
-def _layouts(rs):
-    """Layout per reachable (rule, ortho) type."""
-    reach = rs.reachable_types()
-    scale = rs.child_scale().as_fraction()
-    layouts = {}
-    for (rule_name, ortho), _addr in reach.items():
+def _ruleset_layouts(rs):
+    """Layouts, child types and anchor addresses of the reachable (rule, ortho)
+    types, on the lattice of step 1/den; returns (layouts, kids, anchors, den)."""
+    k = 1 / rs.child_scale().as_fraction()
+    k = k.numerator if k.denominator == 1 else k
+    frames, kids, anchors = {}, {}, {}
+    for (rule_name, ortho), addr in rs.reachable_types().items():
         rule = rs.rules[rule_name]
         sim_o = Similarity(1, ortho, (0, 0))
         img = rule.base.transform(sim_o)
-        shift = img.lo
-        kids = []
+        x, y = img.lo
+        boxes = []
         for ch in rule.children:
-            sim = sim_o.compose(ch.placement)
-            g = rs.rules[ch.rule].base.transform(sim)
-            ctype = (ch.rule, ortho.compose(ch.placement.ortho).key())
-            kids.append((ctype,
-                         (g.lo[0] - shift[0]).as_fraction(),
-                         (g.lo[1] - shift[1]).as_fraction(),
-                         (g.hi[0] - shift[0]).as_fraction(),
-                         (g.hi[1] - shift[1]).as_fraction()))
-        ext = img.extent()
-        layouts[(rule_name, ortho.key())] = _Layout(
-            ext[0].as_fraction(), ext[1].as_fraction(), kids, scale, shift, ortho)
-    anchors = {(rn, o.key()): addr for (rn, o), addr in reach.items()}
-    return layouts, anchors
+            g = rs.rules[ch.rule].base.transform(sim_o.compose(ch.placement))
+            boxes.append(tuple((c - s).as_fraction() for c, s in
+                               zip(g.lo + g.hi, (x, y, x, y))))
+        key = (rule_name, ortho.key())
+        frames[key] = ([e.as_fraction() for e in img.extent()], boxes)
+        kids[key] = tuple((ch.rule, ortho.compose(ch.placement.ortho).key())
+                          for ch in rule.children)
+        anchors[key] = addr
+    den = lcm(*(v.denominator for (w, h), boxes in frames.values()
+                for v in (w, h, *(c for b in boxes for c in b))))
+    layouts = {key: Layout(int(w * den), int(h * den),
+                           [tuple(int(c * den) for c in b) for b in boxes], k)
+               for key, ((w, h), boxes) in frames.items()}
+    return layouts, kids, anchors, den
 
 
 def certify_max_degree(rs, bound, budget=100000):
     """Try to prove that no expansion has a vertex of degree > bound."""
+    if budget < 1:
+        raise ValueError("certify budget must be at least 1, got %r" % (budget,))
     _require_supported(rs)
     if bound >= 4:
         # interior-disjoint axis-aligned boxes: at most one tile per quadrant
         return DegreeCertificate(bound, "certified", steps=0)
-    layouts, anchors = _layouts(rs)
-
-    seen = {}
-    queue = []
-
-    def push(cfg, witness):
-        if cfg not in seen:
-            seen[cfg] = witness
-            queue.append(cfg)
-
-    # initial configurations from each rule's internal structure; witnesses
-    # are materialized eagerly: ("ec", addrA, addrB) or ("vc", point, depth)
-    for tkey, lay in layouts.items():
-        anchor = anchors[tkey]
-        for i, a in enumerate(lay.children):
-            for j, b in enumerate(lay.children):
-                if i == j:
-                    continue
-                ec = _make_ec(a, b, lay.scale)
-                if ec is not None:
-                    push(("E",) + ec, ("ec", anchor + (i,), anchor + (j,)))
-        for point, incident in _interior_corner_points(lay):
-            vc = _vertex_config(lay, point, incident)
-            push(("V", vc),
-                 ("vc", _anchor_point(rs, anchor, point), len(anchor) + 1))
-
-    steps = 0
-    while queue:
-        if steps >= budget:
-            return DegreeCertificate(bound, "inconclusive",
-                                     configurations=sorted(seen), steps=steps)
-        cfg = queue.pop()
-        steps += 1
-        wit = seen[cfg]
-        if cfg[0] == "V":
-            if len(cfg[1]) > bound:
-                return _counterexample(rs, bound, wit, steps)
-            push(("V", _refine_vc(layouts, cfg[1])), ("vc", wit[1], wit[2] + 1))
-        else:
-            addr_a, addr_b = wit[1], wit[2]
-            for new_cfg, step in _refine_ec(layouts, cfg):
-                if step[0] == "pair":
-                    push(new_cfg, ("ec", addr_a + (step[1],), addr_b + (step[2],)))
-                else:
-                    push(new_cfg,
-                         ("vc", _anchor_point(rs, addr_a, step[1]), len(addr_a) + 1))
-    return DegreeCertificate(bound, "certified",
-                             configurations=sorted(k for k in seen if k[0] == "E"),
-                             steps=steps)
+    layouts, kids, anchors, den = _ruleset_layouts(rs)
+    status, steps, seen, last = closure(layouts, kids, bound, budget)
+    if status == "counterexample":
+        point, depth = _replay(rs, anchors, den, seen, last)
+        degree = _tiles_at_point(rs, point, depth)
+        if degree <= bound:
+            raise AssertionError(
+                "internal error: config promised degree > %d at %s depth %d, measured %d"
+                % (bound, tuple(map(float, point)), depth, degree))
+        return DegreeCertificate(bound, status, vertex=point, degree=degree,
+                                 depth=depth, steps=steps)
+    if status == "certified":
+        return DegreeCertificate(bound, status, steps=steps,
+                                 configurations=sorted(c for c in seen if c[0] == "E"))
+    return DegreeCertificate(bound, status, configurations=sorted(seen), steps=steps)
 
 
-def _make_ec(a, b, scale):
-    """Edge config for two sibling boxes, or None when not abutting.
-
-    Offsets are stored in the pair's own units, hence the rescale.
-    """
-    ta, ax0, ay0, ax1, ay1 = a
-    tb, bx0, by0, bx1, by1 = b
-    if ax1 == bx0 and min(ay1, by1) > max(ay0, by0):
-        return (0, ta, tb, (by0 - ay0) / scale)
-    if ay1 == by0 and min(ax1, bx1) > max(ax0, bx0):
-        return (1, ta, tb, (bx0 - ax0) / scale)
-    return None
-
-
-def _interior_corner_points(lay):
-    """Child corner points strictly inside the layout, with incident children."""
-    pts = {}
-    for idx, (t, x0, y0, x1, y1) in enumerate(lay.children):
-        for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
-            if 0 < p[0] < lay.w and 0 < p[1] < lay.h:
-                pts.setdefault(p, None)
-    out = []
-    for p in pts:
-        incident = [k for k, (t, x0, y0, x1, y1) in enumerate(lay.children)
-                    if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
-        out.append((p, incident))
-    return out
-
-
-def _vertex_config(lay, point, incident):
-    entries = []
-    for k in incident:
-        t, x0, y0, x1, y1 = lay.children[k]
-        entries.append((t, (x0 - point[0]) / lay.scale, (y0 - point[1]) / lay.scale))
-    return tuple(sorted(entries))
-
-
-def _norm_vc(entries):
-    return tuple(sorted(entries))
-
-
-def _refine_vc(layouts, vc):
-    """One subdivision step of every tile around the vertex (at the origin)."""
-    new_entries = []
-    for t, dx, dy in vc:
-        lay = layouts[t]
-        # tile occupies [dx*s? ...]: offsets are in current-level units, the
-        # tile's own layout units; origin sits at (-dx, -dy) in layout frame
-        px, py = -dx, -dy
-        for ct, x0, y0, x1, y1 in lay.children:
-            if x0 <= px <= x1 and y0 <= py <= y1:
-                new_entries.append((ct, (x0 - px) / lay.scale, (y0 - py) / lay.scale))
-    return _norm_vc(new_entries)
-
-
-def _refine_ec(layouts, cfg):
-    """Refine an edge config once: child edge configs plus interior cut vertices."""
-    _, axis, ta, tb, delta = cfg
-    la, lb = layouts[ta], layouts[tb]
-    s = la.scale
-    if axis == 0:
-        line = la.w
-        a_on = [(i, c) for i, c in enumerate(la.children) if c[3] == line]
-        b_on = [(i, (c[0], c[1] + line, c[2] + delta, c[3] + line, c[4] + delta))
-                for i, c in enumerate(lb.children) if c[1] == 0]
-        lo_t, hi_t = 2, 4   # y0, y1 positions inside the child tuples
-        seg_lo, seg_hi = max(Fraction(0), delta), min(la.h, delta + lb.h)
+def _replay(rs, anchors, den, seen, cfg):
+    """Exact vertex and expansion depth of a configuration, from its parents."""
+    chain = []
+    while cfg is not None:
+        chain.append(cfg)
+        cfg = seen[cfg][0]
+    root = chain.pop()
+    _, t, where = seen[root]
+    if root[0] == "E":
+        addr = anchors[t] + (where[0],)      # the edge's first tile
     else:
-        line = la.h
-        a_on = [(i, c) for i, c in enumerate(la.children) if c[4] == line]
-        b_on = [(i, (c[0], c[1] + delta, c[2] + line, c[3] + delta, c[4] + line))
-                for i, c in enumerate(lb.children) if c[2] == 0]
-        lo_t, hi_t = 1, 3
-        seg_lo, seg_hi = max(Fraction(0), delta), min(la.w, delta + lb.w)
-
-    out = []
-    for ia, a in a_on:
-        for ib, b in b_on:
-            lo = max(a[lo_t], b[lo_t])
-            hi = min(a[hi_t], b[hi_t])
-            if hi > lo:
-                out.append((("E", axis, a[0], b[0], (b[lo_t] - a[lo_t]) / s),
-                            ("pair", ia, ib)))
-    cuts = set()
-    for _, c in a_on + b_on:
-        for v in (c[lo_t], c[hi_t]):
-            if seg_lo < v < seg_hi:
-                cuts.add(v)
-    for v in sorted(cuts):
-        point = (line, v) if axis == 0 else (v, line)
-        entries = []
-        for _, (t, x0, y0, x1, y1) in a_on + b_on:
-            if x0 <= point[0] <= x1 and y0 <= point[1] <= y1:
-                entries.append((t, (x0 - point[0]) / s, (y0 - point[1]) / s))
-        out.append((("V", _norm_vc(entries)), ("cut", point)))
-    return out
+        point, depth = _anchor_point(rs, anchors[t], where, den), len(anchors[t]) + 1
+    for cfg in reversed(chain):
+        parent, a, b = seen[cfg]
+        if cfg[0] == "E":
+            addr += (a,)
+        elif parent[0] == "E":
+            point, depth = _anchor_point(rs, addr, (a, b), den), len(addr) + 1
+        else:
+            depth += 1
+    return point, depth
 
 
-def _counterexample(rs, bound, witness, steps):
-    point, depth = witness[1], witness[2]
-    degree, found_depth = _measure_degree(rs, point, depth, bound)
-    return DegreeCertificate(bound, "counterexample", vertex=point,
-                             degree=degree, depth=found_depth, steps=steps)
-
-
-def _anchor_point(rs, anchor, local):
+def _anchor_point(rs, anchor, local, den):
+    """Exact point of `local`, on the 1/den lattice of the anchor tile's layout."""
     rule_name, transform, _rev = tile_at(rs, anchor)
-    lay_ortho = transform.ortho
-    # local point lives in the anchor tile's layout frame (min corner at 0)
-    sim_o = Similarity(1, lay_ortho, (0, 0))
+    # the layout frame is the ortho'd base moved to min corner 0
+    sim_o = Similarity(1, transform.ortho, (0, 0))
     img = rs.rules[rule_name].base.transform(sim_o)
-    base_pt = sim_o.inverse().apply((coord(local[0]) + img.lo[0],
-                                     coord(local[1]) + img.lo[1]))
+    base_pt = sim_o.inverse().apply(tuple(coord(Fraction(v) / den) + lo
+                                          for v, lo in zip(local, img.lo)))
     return transform.apply(base_pt)
-
-
-def _measure_degree(rs, point, depth, bound):
-    """Verify the violation against an actual expansion at the claimed depth."""
-    count = _tiles_at_point(rs, point, depth)
-    if count <= bound:
-        raise AssertionError(
-            "internal error: config promised degree > %d at %s depth %d, measured %d"
-            % (bound, tuple(map(float, point)), depth, count))
-    return count, depth
 
 
 def _tiles_at_point(rs, point, depth):

@@ -6,20 +6,23 @@ most sqrt(t) and denominator below sqrt(t), with the width/height filling
 equations admitting solutions in which each orientation count is positive.
 Packings are enumerated by exact backtracking on the cut lattice (all cuts
 are multiples of 1/(q*sqrt(t)) of the unit height); per-tile transform
-assignments are searched with local corner-compatibility pruning and each
-survivor goes through the degree certifier.
+assignments are searched with local corner-compatibility pruning, read off
+integer layouts of the packing, and each survivor goes through the closure
+engine of `certify`.  The packing's 8 per-ortho layouts are built once and
+shared by all its assignments; every accepted assignment is certified again
+from its rule set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 from .builders import ORTHO2, place_in_cell
 from .exact import ZERO, coord
 from .shapes import Box
 from .rules import Rule, RuleSet, Child
-from .certify import certify_max_degree
+from .certify import Layout, certify_max_degree, closure
 
 _UPRIGHT = ["id", "r180", "mx", "my"]
 _ROTATED = ["r90", "r270", "transpose", "antitranspose"]
@@ -181,124 +184,97 @@ def packing_ruleset(packing, orthos, name="rect"):
 
 
 # -- transform assignment search ------------------------------------------------
+#
+# Pieces and layouts live on the integer cut lattice.  Each ortho gives the
+# packing one integer Layout (its child boxes in lattice units, min corner 0);
+# a piece of the packing is that layout shrunk by k = sqrt(t), so its
+# level-2 corners are integers in 1/k lattice units.
 
-def _boundary_cuts(packing):
-    """Subdivision cut positions on each side of the unit rectangle.
-
-    Returns dict side -> sorted positions along that side (lattice units),
-    sides keyed as 'left','right','bottom','top'; unit corners excluded.
-    """
+def _ortho_layouts(packing):
+    """The packing's closure Layout under each of the 8 orthos of ORTHO2."""
     W, H = packing.grid
-    cuts = {"left": set(), "right": set(), "bottom": set(), "top": set()}
-    for x, y, w, h in packing.pieces:
-        for vx, vy in ((x, y), (x + w, y), (x, y + h), (x + w, y + h)):
-            if vx == 0 and 0 < vy < H:
-                cuts["left"].add(vy)
-            if vx == W and 0 < vy < H:
-                cuts["right"].add(vy)
-            if vy == 0 and 0 < vx < W:
-                cuts["bottom"].add(vx)
-            if vy == H and 0 < vx < W:
-                cuts["top"].add(vx)
-    return {k: sorted(v) for k, v in cuts.items()}
+    k = isqrt(packing.t)
+    layouts = {}
+    for name, o in ORTHO2.items():
+        def img(x, y):
+            return tuple(int(c.as_fraction()) for c in o.apply((coord(x), coord(y))))
+        def box(x0, y0, x1, y1):
+            (ax, ay), (bx, by) = img(x0, y0), img(x1, y1)
+            return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+        minx, miny, maxx, maxy = box(0, 0, W, H)
+        boxes = []
+        for x, y, w, h in packing.pieces:
+            x0, y0, x1, y1 = box(x, y, x + w, y + h)
+            boxes.append((x0 - minx, y0 - miny, x1 - minx, y1 - miny))
+        layouts[name] = Layout(maxx - minx, maxy - miny, boxes, k)
+    return layouts
 
 
-def _piece_edge_cuts(packing, piece, oname):
-    """Level-2 cut points on the four edges of `piece` under transform oname.
-
-    Points come back as a set of exact (x, y) lattice-unit pairs.
-    """
-    x, y, w, h = piece
-    s = isqrt(packing.t)
-    base = Box((ZERO, ZERO), (coord(packing.grid[0]), coord(packing.grid[1])))
-    sim = place_in_cell(base, Fraction(1, s), ORTHO2[oname], (Fraction(x), Fraction(y)))
-    cuts = _boundary_cuts(packing)
+def _edge_cuts(lay, piece):
+    """Level-2 corners on the boundary of `piece` under the ortho of `lay`,
+    the piece's own corners excluded, as integer points in 1/k lattice units."""
+    x, y = lay.k * piece[0], lay.k * piece[1]
     pts = set()
-    W, H = packing.grid
-    for side, positions in cuts.items():
-        for v in positions:
-            if side in ("left", "right"):
-                p = (Fraction(0 if side == "left" else W), Fraction(v))
-            else:
-                p = (Fraction(v), Fraction(0 if side == "bottom" else H))
-            img = sim.apply((coord(p[0]), coord(p[1])))
-            pts.add((img[0].as_fraction(), img[1].as_fraction()))
+    for x0, y0, x1, y1 in lay.boxes:
+        for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+            if (cx in (0, lay.w)) != (cy in (0, lay.h)):
+                pts.add((x + cx, y + cy))
     return pts
 
 
-def _assignment_candidates(packing):
+def _assignment_candidates(packing, cuts):
     """Per-piece ortho values filtered by the T-junction (unary) constraint."""
     iv = packing.interior_vertices()
     p = packing.alpha.numerator
     q = packing.alpha.denominator
+    k = isqrt(packing.t)
     cand = []
-    cut_cache = {}
     for i, piece in enumerate(packing.pieces):
         x, y, w, h = piece
-        upright = (w, h) == (p, q)
-        values = []
-        stems = []
-        for v, tiles in iv.items():
-            if i in tiles:
-                vx, vy = v
-                corner = vx in (x, x + w) and vy in (y, y + h)
-                if not corner:
-                    stems.append((Fraction(vx), Fraction(vy)))
-        for oname in (_UPRIGHT if upright else _ROTATED):
-            key = (piece, oname)
-            if key not in cut_cache:
-                cut_cache[key] = _piece_edge_cuts(packing, piece, oname)
-            cuts = cut_cache[key]
-            if not any(sv in cuts for sv in stems):
-                values.append(oname)
-        cand.append(values)
+        stems = [(k * vx, k * vy) for (vx, vy), tiles in iv.items()
+                 if i in tiles and not (vx in (x, x + w) and vy in (y, y + h))]
+        cand.append([o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
+                     if not any(sv in cuts[i][o] for sv in stems)])
     return cand
 
 
-def _binary_conflicts(packing, cand):
+def _binary_conflicts(packing, cand, cuts):
     """Forbidden ortho pairs for pieces abutting along a positive segment."""
     conflicts = {}
     pieces = packing.pieces
-    cut_cache = {}
-
-    def cuts(i, oname):
-        key = (i, oname)
-        if key not in cut_cache:
-            cut_cache[key] = _piece_edge_cuts(packing, pieces[i], oname)
-        return cut_cache[key]
-
+    k = isqrt(packing.t)
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
-            seg = _shared_segment(pieces[i], pieces[j])
+            seg = _shared_segment(pieces[i], pieces[j], k)
             if seg is None:
                 continue
             bad = set()
             for oa in cand[i]:
-                ca = {pt for pt in cuts(i, oa) if _strictly_inside(pt, seg)}
+                ca = {pt for pt in cuts[i][oa] if _strictly_inside(pt, seg)}
                 if not ca:
                     continue
                 for ob in cand[j]:
-                    cb = cuts(j, ob)
-                    if ca & cb:
+                    if ca & cuts[j][ob]:
                         bad.add((oa, ob))
             if bad:
                 conflicts[(i, j)] = bad
     return conflicts
 
 
-def _shared_segment(a, b):
+def _shared_segment(a, b, k):
+    """The segment two pieces share, in 1/k lattice units, or None."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     if ax + aw == bx or bx + bw == ax:
         lo, hi = max(ay, by), min(ay + ah, by + bh)
         if hi > lo:
             x = ax + aw if ax + aw == bx else bx + bw
-            return ("v", Fraction(x), Fraction(lo), Fraction(hi))
+            return ("v", k * x, k * lo, k * hi)
     if ay + ah == by or by + bh == ay:
         lo, hi = max(ax, bx), min(ax + aw, bx + bw)
         if hi > lo:
             y = ay + ah if ay + ah == by else by + bh
-            return ("h", Fraction(y), Fraction(lo), Fraction(hi))
+            return ("h", k * y, k * lo, k * hi)
     return None
 
 
@@ -311,13 +287,15 @@ def _strictly_inside(pt, seg):
 
 def assignment_solutions(packing, cap=50000):
     """Transform assignments surviving the local pruning, up to `cap`."""
-    cand = _assignment_candidates(packing)
+    layouts = _ortho_layouts(packing)
+    cuts = [{o: _edge_cuts(lay, piece) for o, lay in layouts.items()}
+            for piece in packing.pieces]
+    cand = _assignment_candidates(packing, cuts)
     if any(not c for c in cand):
         return []
-    conflicts = _binary_conflicts(packing, cand)
+    conflicts = _binary_conflicts(packing, cand, cuts)
     n = len(cand)
     order = sorted(range(n), key=lambda i: len(cand[i]))
-    pos = {v: k for k, v in enumerate(order)}
     sols = []
     chosen = [None] * n
 
@@ -346,196 +324,33 @@ def assignment_solutions(packing, cap=50000):
     return sols
 
 
-# -- fast integer closure for single-rule grid packings -------------------------
+# -- one packing, many assignments ----------------------------------------------
 #
-# Same configuration-closure algorithm as certify.certify_max_degree, but on
-# the integer cut lattice of one packing, so scanning very many transform
-# assignments is cheap.  Accepted candidates are always re-verified with the
-# generic exact certifier.
+# The packing's 8 ortho layouts and the ortho compose table are built once;
+# each assignment only adds its type table (the child orthos of every ortho
+# reachable from "id").  Accepted candidates are re-certified on the rule-set
+# layouts of `packing_ruleset`, which cross-checks the two layout builds.
 
-def _ortho_box_maps(W, H):
-    """For each ortho name: mapped dims and an integer box-mapping function."""
-    maps = {}
-    for name, o in ORTHO2.items():
-        c, s_ = {0: (1, 0), 3: (0, 1), 6: (-1, 0), 9: (0, -1)}[o.rot]
-        refl = -1 if o.reflect else 1
+class _PackingClosure:
+    """certify_max_degree's closure, on one packing's integer cut lattice."""
 
-        def make(c=c, s_=s_, refl=refl):
-            def apply_pt(x, y):
-                y2 = y * refl
-                return (c * x - s_ * y2, s_ * x + c * y2)
-            return apply_pt
-
-        fn = make()
-        corners = [fn(0, 0), fn(W, 0), fn(0, H), fn(W, H)]
-        minx = min(p[0] for p in corners)
-        miny = min(p[1] for p in corners)
-        dims = (max(p[0] for p in corners) - minx, max(p[1] for p in corners) - miny)
-
-        def box_map(box, fn=fn, minx=minx, miny=miny):
-            x0, y0, x1, y1 = box
-            pa, pb = fn(x0, y0), fn(x1, y1)
-            return (min(pa[0], pb[0]) - minx, min(pa[1], pb[1]) - miny,
-                    max(pa[0], pb[0]) - minx, max(pa[1], pb[1]) - miny)
-
-        maps[name] = (dims, box_map)
-    return maps
-
-
-class _FastCertifier:
     def __init__(self, packing):
-        self.packing = packing
-        W, H = packing.grid
-        self.k = isqrt(packing.t)
-        maps = _ortho_box_maps(W, H)
-        corner_boxes = [(x, y, x + w, y + h) for x, y, w, h in packing.pieces]
-        self.geo = {}
-        for name, (dims, box_map) in maps.items():
-            self.geo[name] = (dims, tuple(box_map(b) for b in corner_boxes))
+        self.layouts = _ortho_layouts(packing)
         by_key = {o.key(): n for n, o in ORTHO2.items()}
         self.comp = {(a, b): by_key[ORTHO2[a].compose(ORTHO2[b]).key()]
                      for a in ORTHO2 for b in ORTHO2}
-        k = self.k
-        # geometry-only precomputation, shared by every assignment:
-        # initial edge configs, initial vertex points, and per-side child lists
-        self.init_ecs = {}
-        self.init_vcs = {}
-        self.on_side = {}
-        for o, ((w, h), boxes) in self.geo.items():
-            ecs = []
-            n = len(boxes)
-            for i in range(n):
-                ax0, ay0, ax1, ay1 = boxes[i]
-                for j in range(n):
-                    if i == j:
-                        continue
-                    bx0, by0, bx1, by1 = boxes[j]
-                    if ax1 == bx0 and min(ay1, by1) > max(ay0, by0):
-                        ecs.append((0, i, j, k * (by0 - ay0)))
-                    elif ay1 == by0 and min(ax1, bx1) > max(ax0, bx0):
-                        ecs.append((1, i, j, k * (bx0 - ax0)))
-            self.init_ecs[o] = tuple(ecs)
-            pts = {}
-            for x0, y0, x1, y1 in boxes:
-                for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
-                    if 0 < p[0] < w and 0 < p[1] < h:
-                        pts[p] = None
-            vcs = []
-            for p in pts:
-                inc = tuple((i, k * (b[0] - p[0]), k * (b[1] - p[1]))
-                            for i, b in enumerate(boxes)
-                            if b[0] <= p[0] <= b[2] and b[1] <= p[1] <= b[3])
-                vcs.append(inc)
-            self.init_vcs[o] = tuple(vcs)
-            self.on_side[o] = {
-                ("a", 0): tuple((i, b) for i, b in enumerate(boxes) if b[2] == w),
-                ("b", 0): tuple((i, b) for i, b in enumerate(boxes) if b[0] == 0),
-                ("a", 1): tuple((i, b) for i, b in enumerate(boxes) if b[3] == h),
-                ("b", 1): tuple((i, b) for i, b in enumerate(boxes) if b[1] == 0),
-            }
 
-    def certified(self, assign, bound=3):
-        """True when the integer closure closes without a degree violation."""
-        comp, geo, k = self.comp, self.geo, self.k
-        types_of = {}
+    def certified(self, orthos):
+        """True when the closure closes without a vertex of degree > 3."""
+        comp = self.comp
         reach = ["id"]
-        types_of["id"] = [comp[("id", oc)] for oc in assign]
-        i = 0
-        while i < len(reach):
-            o = reach[i]
-            i += 1
-            for t in types_of[o]:
-                if t not in types_of:
-                    reach.append(t)
-                    types_of[t] = [comp[(t, oc)] for oc in assign]
-        seen = set()
-        queue = []
-
+        kids = {}
         for o in reach:
-            types = types_of[o]
-            for axis, i_, j_, delta in self.init_ecs[o]:
-                cfg = ("E", axis, types[i_], types[j_], delta)
-                if cfg not in seen:
-                    seen.add(cfg)
-                    queue.append(cfg)
-            for inc in self.init_vcs[o]:
-                if len(inc) > bound:
-                    return False
-                cfg = ("V", tuple(sorted((types[i_], dx, dy) for i_, dx, dy in inc)))
-                if cfg not in seen:
-                    seen.add(cfg)
-                    queue.append(cfg)
-
-        while queue:
-            cfg = queue.pop()
-            if cfg[0] == "V":
-                entries = []
-                for t, dx, dy in cfg[1]:
-                    boxes = geo[t][1]
-                    types = types_of[t]
-                    px, py = -dx, -dy
-                    for i_, (x0, y0, x1, y1) in enumerate(boxes):
-                        if x0 <= px <= x1 and y0 <= py <= y1:
-                            entries.append((types[i_], k * (x0 - px), k * (y0 - py)))
-                if len(entries) > bound:
-                    return False
-                new = ("V", tuple(sorted(entries)))
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-                continue
-            _, axis, ta, tb, delta = cfg
-            (wa, ha), _boxes_a = geo[ta]
-            (wb, hb), _boxes_b = geo[tb]
-            types_a, types_b = types_of[ta], types_of[tb]
-            a_side = self.on_side[ta][("a", axis)]
-            b_side = self.on_side[tb][("b", axis)]
-            if axis == 0:
-                line = wa
-                b_on = [(i, (b[0] + line, b[1] + delta, b[2] + line, b[3] + delta))
-                        for i, b in b_side]
-                lo_i, hi_i = 1, 3
-                seg_lo, seg_hi = max(0, delta), min(ha, delta + hb)
-            else:
-                line = ha
-                b_on = [(i, (b[0] + delta, b[1] + line, b[2] + delta, b[3] + line))
-                        for i, b in b_side]
-                lo_i, hi_i = 0, 2
-                seg_lo, seg_hi = max(0, delta), min(wa, delta + wb)
-            cuts = set()
-            for ia, ba in a_side:
-                t_a = types_a[ia]
-                a_lo, a_hi = ba[lo_i], ba[hi_i]
-                for ib, bb in b_on:
-                    if min(a_hi, bb[hi_i]) > max(a_lo, bb[lo_i]):
-                        new = ("E", axis, t_a, types_b[ib], k * (bb[lo_i] - a_lo))
-                        if new not in seen:
-                            seen.add(new)
-                            queue.append(new)
-                if seg_lo < a_lo < seg_hi:
-                    cuts.add(a_lo)
-                if seg_lo < a_hi < seg_hi:
-                    cuts.add(a_hi)
-            for _, b in b_on:
-                for v in (b[lo_i], b[hi_i]):
-                    if seg_lo < v < seg_hi:
-                        cuts.add(v)
-            for v in cuts:
-                point = (line, v) if axis == 0 else (v, line)
-                entries = []
-                for ia, (x0, y0, x1, y1) in a_side:
-                    if x0 <= point[0] <= x1 and y0 <= point[1] <= y1:
-                        entries.append((types_a[ia], k * (x0 - point[0]), k * (y0 - point[1])))
-                for ib, (x0, y0, x1, y1) in b_on:
-                    if x0 <= point[0] <= x1 and y0 <= point[1] <= y1:
-                        entries.append((types_b[ib], k * (x0 - point[0]), k * (y0 - point[1])))
-                if len(entries) > bound:
-                    return False
-                new = ("V", tuple(sorted(entries)))
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-        return True
+            kids[o] = ts = tuple(comp[o, c] for c in orthos)
+            for t in ts:
+                if t not in reach:
+                    reach.append(t)
+        return closure(self.layouts, kids, 3, inf)[0] == "certified"
 
 
 class SearchReport:
@@ -584,12 +399,12 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                     entry["assignment_cap_hit"] = True
                     report.budget_exceeded = True
                 entry["assignments"] += len(sols)
-                fast = _FastCertifier(pk) if sols else None
+                lattice = _PackingClosure(pk) if sols else None
                 for orthos in sols:
-                    if not fast.certified(orthos):
+                    if not lattice.certified(orthos):
                         entry["refuted"] += 1
                         continue
-                    # re-verify every acceptance with the generic exact certifier
+                    # re-certify every acceptance on the rule-set layouts
                     rs = packing_ruleset(pk, orthos)
                     cert = certify_max_degree(rs, 3, budget=certify_budget)
                     if cert.certified:
@@ -597,7 +412,8 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                         report.accepted.append((t, alpha, pk, list(orthos), cert))
                     elif cert.status == "counterexample":
                         raise AssertionError(
-                            "fast and exact certifiers disagree on %r" % (orthos,))
+                            "packing-lattice and rule-set layouts disagree on %r"
+                            % (orthos,))
                     else:
                         entry["inconclusive"] += 1
             report.per_ratio.append(entry)

@@ -397,14 +397,9 @@ def recursify(spec, levels, window=None):
         window = default_window(spec)
     frontier = {c: c for c in window}
     for _ in range(levels):
-        fine = {}
-        for cell, top in _preimage(spec, list(frontier)).items():
-            fine[cell] = frontier[top]
-        # next iteration treats these fine cells as the coarse set
-        new_frontier = {}
-        for cell, top in fine.items():
-            new_frontier[cell] = top
-        frontier = new_frontier
+        # the fine cells become the next step's coarse set, keeping their top label
+        frontier = {cell: frontier[top]
+                    for cell, top in _preimage(spec, list(frontier)).items()}
     return LabelledLattice(spec, levels, frontier, set(window))
 
 

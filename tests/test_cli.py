@@ -41,6 +41,14 @@ def test_certify_refuted_exit_one(capsys):
     assert json.loads(out)["status"] == "counterexample"
 
 
+def test_certify_bad_budget_exit_two(capsys):
+    code = main(["certify", "--tiling", "daun", "--budget", "-5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget" in captured.err
+
+
 def test_unknown_input_exit_two(capsys):
     code, _ = run(capsys, "validate", "--tiling", "nonexistent-thing")
     assert code == 2

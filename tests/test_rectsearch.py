@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, Packing,
                                 packing_ruleset, assignment_solutions,
-                                _FastCertifier, search_min_rect_tiling)
+                                _PackingClosure, search_min_rect_tiling,
+                                _ortho_layouts, _edge_cuts, _UPRIGHT, _ROTATED)
+from arrwwid.expand import expand
 from arrwwid.rules import validate_ruleset
 from arrwwid.certify import certify_max_degree
 
@@ -77,11 +80,13 @@ def test_cut_lattice_claim():
             assert isinstance(x, int) and isinstance(y, int)
 
 
-def test_fast_certifier_agrees_with_exact():
+def test_packing_closure_agrees_with_ruleset_closure():
+    # the packing path (lattice layouts per ortho) against the rule-set path
+    # (layouts from packing_ruleset) of the same closure engine
     pk = [p for p in enumerate_packings(16, Fraction(3, 2))
           if p.max_vertex_degree() <= 3][0]
     sols = assignment_solutions(pk)
-    fast = _FastCertifier(pk)
+    lattice = _PackingClosure(pk)
     import random
     rng = random.Random(13)
     sample = sols[:24] + rng.sample(sols, 24)
@@ -90,7 +95,34 @@ def test_fast_certifier_agrees_with_exact():
     sample.append(known_good)
     for orthos in sample:
         exact = certify_max_degree(packing_ruleset(pk, orthos), 3).certified
-        assert fast.certified(orthos) == exact, orthos
+        assert lattice.certified(orthos) == exact, orthos
+
+
+def test_edge_cuts_match_level2_expansion():
+    # oracle: the corners of a piece's level-2 tiles on its boundary, the
+    # piece's own corners excluded, read off an exact expansion
+    packings = [p for p in enumerate_packings(16, Fraction(3, 2))
+                if p.max_vertex_degree() <= 3]
+    assert len(packings) == 2
+    for pk in packings:
+        k = isqrt(pk.t)
+        layouts = _ortho_layouts(pk)
+        p, q = pk.alpha.numerator, pk.alpha.denominator
+        for m in range(4):
+            orthos = [_UPRIGHT[m] if (w, h) == (p, q) else _ROTATED[m]
+                      for _, _, w, h in pk.pieces]
+            tiles = expand(packing_ruleset(pk, orthos), 2).tiles
+            for i, (x, y, w, h) in enumerate(pk.pieces):
+                want = set()
+                for t in tiles:
+                    if t.address[0] != i:
+                        continue
+                    for c in t.geometry.corners():
+                        cx, cy = (v.as_fraction() for v in c)
+                        if (cx in (x, x + w)) != (cy in (y, y + h)):
+                            want.add((int(k * cx), int(k * cy)))
+                got = _edge_cuts(layouts[orthos[i]], pk.pieces[i])
+                assert want and got == want, (m, i)
 
 
 def test_search_small_sizes_refute_everything():
