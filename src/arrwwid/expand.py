@@ -1,5 +1,7 @@
 """The one tile-tree traversal (`walk`) and what is built on it: expansion
-into tile sets with exact vertex analysis, and the scan-order lattice raster."""
+into tile sets with exact vertex analysis.  Also the compiled integer state
+table of a uniform rectilinear rule set and the scan-order lattice raster
+expanded from it."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from .exact import ZERO
 from .shapes import Box
-from .transforms import Similarity
+from .transforms import Ortho, Similarity
 from .rules import RuleError
 
 DEFAULT_TILE_BUDGET = 10 ** 7
@@ -252,7 +254,85 @@ def vertex_degrees(ts):
     return DegreeMap(interior, boundary)
 
 
-# -- integer-lattice rasterization fast path ----------------------------------
+# -- compiled state table and the integer scan raster ------------------------
+
+_STATE_CACHE = weakref.WeakKeyDictionary()
+
+
+class StateTable:
+    """A uniform rectilinear rule set compiled to integer states.
+
+    A state is (rule, ortho, reversed), reached from (unit, identity, False);
+    `states` lists them, the start first.  For state s, `kids[s]` are its
+    children's states in scanning order (a reversed state lists its children
+    backwards) and `offs[s]` their min corners relative to the parent's min
+    corner, in cells of the children's pitch; `extent[s]` is the state's size
+    in cells of its own pitch.  Depth d has pitch `p1 / k**(d - 1)`, so a
+    depth-d tile's min corner is k times its parent's plus its offset.
+    """
+
+    def __init__(self, states, kids, offs, extent, k, p1):
+        self.states = states
+        self.kids = kids
+        self.offs = offs
+        self.extent = extent
+        self.k = k
+        self.p1 = p1
+
+
+def state_table(rs):
+    """The rule set's StateTable, compiled once, or None unless the rule set is
+    uniform and rectilinear, 1/scale is an integer, and the tiles of every
+    depth lie on one integer lattice, each inside its parent."""
+    try:
+        return _STATE_CACHE[rs]
+    except KeyError:
+        table = _STATE_CACHE[rs] = _compile_states(rs)
+        return table
+
+
+def _compile_states(rs):
+    if not (rs.is_rectilinear() and rs.is_uniform()):
+        return None
+    scale = rs.child_scale()
+    k = 1 / scale.as_fraction() if scale.is_rational else None
+    if k is None or k.denominator != 1:
+        return None
+    rules, origin = rs.rules, (0,) * rs.dim
+    states = [(rs.unit, Ortho.identity(rs.dim), False)]
+    index = {states[0]: 0}
+    kids, offs, extent = [], [], []
+    for rule_name, ortho, rev in states:     # grows while it is read
+        frame = Similarity(1, ortho, origin)
+        img = rules[rule_name].base.transform(frame)
+        children = rules[rule_name].children
+        row = []
+        for ch in reversed(children) if rev else children:
+            state = (ch.rule, ortho.compose(ch.placement.ortho), rev ^ ch.reversed)
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            row.append(index[state])
+            box = rules[ch.rule].base.transform(frame.compose(ch.placement))
+            offs.append([c - l for c, l in zip(box.lo, img.lo)])
+        kids.append(row)
+        extent.append([e * scale for e in img.extent()])
+    values = [v for vs in offs + extent for v in vs]
+    if not all(v.is_rational for v in values):
+        return None
+    den = math.lcm(*(v.as_fraction().denominator for v in values))
+
+    def in_cells(rows):
+        return np.array([[int(v.as_fraction() * den) for v in row] for row in rows],
+                        dtype=np.int64)
+
+    kids, offs, extent = np.array(kids, dtype=np.int32), in_cells(offs), in_cells(extent)
+    offs = offs.reshape(len(states), -1, rs.dim)
+    # the raster's cell numbering needs every child inside its parent
+    if not ((offs >= 0) & (offs + extent[kids] <= k.numerator * extent[:, None])).all():
+        return None
+    return StateTable(states, kids, offs, extent, k.numerator, Fraction(1, den))
+
 
 class LatticeRaster:
     """Tile-id grid for a rectilinear expansion whose cuts live on a lattice.
@@ -270,14 +350,10 @@ class LatticeRaster:
 
 def lattice_pitch(rs, depth):
     """Common lattice pitch of all tile corners at `depth`, or None."""
-    if not (rs.is_rectilinear() and rs.is_uniform()):
+    table = state_table(rs)
+    if table is None:
         return None
-    corners = [v for t in expand(rs, min(depth, 1)) for v in t.geometry.lo + t.geometry.hi]
-    scale = rs.child_scale()
-    if not (scale.is_rational and all(v.is_rational for v in corners)):
-        return None
-    denom = math.lcm(*(v.as_fraction().denominator for v in corners))
-    return Fraction(1, denom) * scale.as_fraction() ** max(depth - 1, 0)
+    return table.p1 / table.k ** max(depth - 1, 0)
 
 
 def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
@@ -285,32 +361,40 @@ def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
 
     Returns (ids, pitch): ids[ix, iy(, iz)] is the scanning-order position
     of the tile owning the lattice cell of side `pitch` at that index,
-    counted from the unit's lower corner.
+    counted from the unit's lower corner.  The tiles come from the state
+    table, one numpy step per level.
     """
     if count_tiles(rs, depth) > budget:
         raise BudgetError("raster exceeds tile budget")
-    pitch = lattice_pitch(rs, max(depth, 1))
-    if pitch is None:
+    table = state_table(rs)
+    if table is None:
         raise RuleError("rule set has no common cut lattice")
-    base = rs.unit_rule.base
-    origin = [v.as_fraction() for v in base.lo]
-    shape = []
-    for o, h in zip(origin, base.hi):
-        n = (h.as_fraction() - o) / pitch
-        if n.denominator != 1:
-            raise RuleError("unit extent is not a lattice multiple")
-        shape.append(int(n))
+    shape = [int(e) * table.k ** max(depth, 1) for e in table.extent[0]]
     if math.prod(shape) > budget * 64:
         raise BudgetError("raster of %s cells exceeds budget" % shape)
+    # Raster cells are numbered in C order, and a tile's min corner is linear in
+    # its ancestors' offsets, so the level loop runs on cell numbers directly.
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(rs.dim)], dtype=np.int64)
+    offs = table.offs @ strides
+    pos, state = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
+    for _ in range(depth):
+        pos = (table.k * pos[:, None] + offs[state]).reshape(-1)
+        state = table.kids[state].reshape(-1)
+    # cells[s] numbers the cells of a state-s leaf from its min corner, padded
+    # by repeating the first; a depth-0 raster has the pitch of depth 1, so
+    # its one tile spans k leaf extents
+    grow = table.k if depth == 0 else 1
+    cells = [[int(np.dot(c, strides)) for c in itertools.product(*(range(e * grow) for e in ext))]
+             for ext in table.extent]
+    width = max(map(len, cells))
+    cells = np.array([c + c[:1] * (width - len(c)) for c in cells], dtype=np.int64)
     ids = np.full(shape, -1, dtype=np.int64)
-    rules = rs.rules
-    for pos, (_, rule_name, transform, _, _, _) in enumerate(walk(rs, depth, scan=True)):
-        geom = rules[rule_name].base.transform(transform)
-        ids[tuple(slice(int((l.as_fraction() - o) / pitch), int((h.as_fraction() - o) / pitch))
-                  for l, h, o in zip(geom.lo, geom.hi, origin))] = pos
+    flat, order = ids.reshape(-1), np.arange(len(pos))
+    for j in range(width):
+        flat[pos + cells[state, j]] = order
     if (ids < 0).any():
         raise RuleError("raster left uncovered cells (invalid rule set?)")
-    return ids, pitch
+    return ids, lattice_pitch(rs, depth)
 
 
 def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):

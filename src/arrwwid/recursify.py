@@ -424,9 +424,7 @@ def lattice_degree(ll):
     spec = ll.spec
     if spec.kind == "hex":
         return _hex_degree(ll)
-    if spec.kind == "shifted-square":
-        return _square_degree(ll)
-    return _cube_degree(ll)
+    return _degree_over_points(ll)
 
 
 def _hex_degree(ll):
@@ -554,14 +552,6 @@ def _degree_over_points(ll):
     return best
 
 
-def _square_degree(ll):
-    return _degree_over_points(ll)
-
-
-def _cube_degree(ll):
-    return _degree_over_points(ll)
-
-
 def coarse_degree(spec, window=None):
     """Degree of the unrecursified (level-0) tiling."""
     if spec.kind == "hex":
@@ -569,9 +559,7 @@ def coarse_degree(spec, window=None):
         return max(_hex_degree(ll), hex_vertex_degree(ll))
     cells = window or default_window(spec)
     ll = LabelledLattice(spec, 0, {c: c for c in cells}, set(cells))
-    if spec.kind == "shifted-square":
-        return _square_degree(ll)
-    return _cube_degree(ll)
+    return _degree_over_points(ll)
 
 
 def _hex_window0():

@@ -1,8 +1,10 @@
-"""`walk`, the one tile-tree traversal, against independent slow paths.
+"""`walk`, the one tile-tree traversal, and the state-table raster against
+independent slow paths.
 
 The single-path references are `tile_at` (rule, transform, reversal) and
 `tile_interval` (parameter interval); covers are checked against a filter of
-the full expansion.
+the full expansion, and `scan_raster` against a raster painted tile by tile
+from exact boxes.
 """
 
 import math
@@ -15,7 +17,10 @@ from arrwwid import catalog
 from arrwwid.cover import QueryRange, cover_tiles, window_radii
 from arrwwid.curves import Interval, tile_interval
 from arrwwid.exact import ZERO
-from arrwwid.expand import count_tiles, expand, prefix_table, scan_raster, tile_at, walk
+from arrwwid.expand import (count_tiles, expand, lattice_pitch, prefix_table, scan_raster,
+                            tile_at, walk)
+from arrwwid.rules import Child, Rule, RuleError, RuleSet, parse_ruleset
+from arrwwid.transforms import Ortho, Similarity
 
 
 def _depths(entry):
@@ -64,6 +69,123 @@ def test_raster_cells_hold_scan_position_of_their_center(name):
             assert (ids[block] == pos).all()
             claimed += ids[block].size
         assert claimed == ids.size
+
+
+def _exact_scan_raster(rs, depth):
+    """The slow path: every scanning-order leaf's exact box painted in turn,
+    on the pitch of the finest lattice holding every leaf corner."""
+    leaves = [rs.rules[rule_name].base.transform(transform)
+              for _, rule_name, transform, _, _, _ in walk(rs, max(depth, 1), scan=True)]
+    origin = [v.as_fraction() for v in rs.unit_rule.base.lo]
+    pitch = Fraction(1, math.lcm(*((v.as_fraction() - o).denominator for box in leaves
+                                   for v, o in zip(box.lo + box.hi, origin + origin))))
+    if depth == 0:
+        leaves = [rs.unit_rule.base]
+
+    def cells(box):
+        bounds = [((l.as_fraction() - o) / pitch, (h.as_fraction() - o) / pitch)
+                  for l, h, o in zip(box.lo, box.hi, origin)]
+        assert all(v.denominator == 1 for b in bounds for v in b)
+        return tuple(slice(int(l), int(h)) for l, h in bounds)
+
+    ids = np.full([s.stop for s in cells(rs.unit_rule.base)], -1, dtype=np.int64)
+    for pos, box in enumerate(leaves):
+        ids[cells(box)] = pos
+    return ids, pitch
+
+
+def _conjugate(rs, ortho):
+    """The rule set seen through the linear map `ortho`: every base mapped by
+    it, every placement P replaced by ortho o P o ortho^-1."""
+    g = Similarity(1, ortho, (0,) * rs.dim)
+    g_inv = g.inverse()
+    rules = {name: Rule(name, rule.base.transform(g),
+                        [Child(ch.rule, g.compose(ch.placement).compose(g_inv), ch.reversed)
+                         for ch in rule.children])
+             for name, rule in rs.rules.items()}
+    return RuleSet(rules, rs.unit, rs.name)
+
+
+def _assert_raster_matches_exact(rs, depth):
+    ids, pitch = scan_raster(rs, depth)
+    exact_ids, exact_pitch = _exact_scan_raster(rs, depth)
+    assert pitch == exact_pitch == lattice_pitch(rs, max(depth, 1))
+    assert ids.dtype == exact_ids.dtype
+    assert np.array_equal(ids, exact_ids)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_scan_raster_matches_exact_painting(name):
+    entry = catalog.builtin(name)
+    for depth in (0,) + _depths(entry):
+        _assert_raster_matches_exact(entry.ruleset, depth)
+
+
+@pytest.mark.parametrize("name", ["daun", "kochel"])
+@pytest.mark.parametrize("rot", [0, 3, 6, 9])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_scan_raster_matches_exact_painting_under_square_symmetries(name, rot, reflect):
+    rs = _conjugate(catalog.builtin(name).ruleset, Ortho(2, rot, reflect))
+    _assert_raster_matches_exact(rs, 2)
+
+
+def test_off_lattice_scale_has_no_lattice():
+    # k = 3/2 is not an integer: depth-2 corners lie at 1/3 and 7/9, off the
+    # 2/9 lattice that level-1 corners and the scale alone would give
+    rs = parse_ruleset("""
+unit A
+rule A
+base box 0 0 1 1
+child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(1/3,1/3)
+""")
+    corners = {v.as_fraction() for t in expand(rs, 2) for v in t.geometry.lo + t.geometry.hi}
+    assert {Fraction(1, 3), Fraction(7, 9)} <= corners
+    assert lattice_pitch(rs, 2) is None
+    with pytest.raises(RuleError, match="no common cut lattice"):
+        scan_raster(rs, 2)
+
+
+def test_lattice_pitch_holds_corners_below_level_one():
+    # B places a child at x = 1/3, which level-1 corners do not show
+    rs = parse_ruleset("""
+unit A
+rule A
+base box 0 0 1 1
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,0)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)
+rule B
+base box 0 0 1 1
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,0)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/3,1/2)
+""")
+    corners = {v.as_fraction() for t in expand(rs, 2) for v in t.geometry.lo + t.geometry.hi}
+    assert {Fraction(1, 6), Fraction(2, 3)} <= corners
+    pitch = lattice_pitch(rs, 2)
+    assert pitch is not None and all((v / pitch).denominator == 1 for v in corners)
+    # B's children overlap and leave its upper right corner uncovered
+    with pytest.raises(RuleError, match="uncovered"):
+        scan_raster(rs, 2)
+
+
+def test_child_outside_its_parent_has_no_lattice():
+    # the second child reaches x = 5/4, past its parent's right side
+    rs = parse_ruleset("""
+unit A
+rule A
+base box 0 0 1 1
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(3/4,0)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)
+""")
+    assert lattice_pitch(rs, 1) is None
+    with pytest.raises(RuleError, match="no common cut lattice"):
+        scan_raster(rs, 1)
 
 
 @pytest.mark.parametrize("name,seed", [("hilbert", 1), ("dekking", 2), ("kochel", 3)])
