@@ -267,21 +267,19 @@ def _merge_runs(rs, runs, report, merge_budget):
 # -- estimation ---------------------------------------------------------------
 
 class SamplePlan:
-    """Deterministic sampling plan: vertex-centered balls per depth plus
-    seeded random balls, radii spanning each depth's canonical window."""
+    """Deterministic sampling plan: vertex-centered balls per depth, a
+    quarter of the way into the depth's canonical radius window, plus seeded
+    random balls at the window's middle."""
 
-    def __init__(self, depths=(2, 3), n_random=200, seed=0, radii_per_depth=2,
-                 query_kind="ball"):
+    def __init__(self, depths=(2, 3), n_random=200, seed=0, query_kind="ball"):
         self.depths = tuple(depths)
         self.n_random = n_random
         self.seed = seed
-        self.radii_per_depth = radii_per_depth
         self.query_kind = query_kind
 
     def describe(self):
         return {"depths": list(self.depths), "n_random": self.n_random,
-                "seed": self.seed, "radii_per_depth": self.radii_per_depth,
-                "query_kind": self.query_kind}
+                "seed": self.seed, "query_kind": self.query_kind}
 
 
 class Witness:
@@ -358,7 +356,8 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
 
     grid_ok = lattice_pitch(rs, 1) is not None
     for depth in plan.depths:
-        radii = window_radii(rs, depth, kappa, plan.radii_per_depth)
+        # the first of two evenly spaced window radii
+        r = window_radii(rs, depth, kappa, 2)[0]
         if grid_ok:
             ids, pitch = scan_raster(rs, depth, budget=budget)
             tiles, fragments = _vertex_stats_grid(ids)
@@ -370,7 +369,6 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
                     vert = np.unravel_index(idx, tuple(s - 1 for s in ids.shape))
                     center = tuple(base.lo[ax] + coord(pitch) * coord(int(vert[ax]) + 1)
                                    for ax in range(rs.dim))
-                    r = radii[0]
                     if which == "t":
                         consider(int(tiles[idx]), None, center, r, depth)
                     elif is_order:
@@ -382,7 +380,6 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
             for p, incident in ts.vertex_index.items():
                 if unit_base.on_boundary(p):
                     continue
-                r = radii[0]
                 q = QueryRange("ball", p, r)
                 if not q.inside_unit(unit_base):
                     continue
@@ -397,8 +394,7 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
     depth_lo, depth_hi = min(plan.depths), max(plan.depths)
     for _ in range(plan.n_random):
         depth = int(rng.integers(depth_lo, depth_hi + 1))
-        radii = window_radii(rs, depth, kappa, 1)
-        r = radii[0]
+        r = window_radii(rs, depth, kappa, 1)[0]
         rf = float(r)
         center = []
         ok = True

@@ -403,29 +403,58 @@ def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):
     return LatticeRaster(ids, pitch, rs.unit_rule.base.lo, depth)
 
 
-def _vertex_stats_grid(ids, window=None):
+def _vertex_stats_grid(ids, block=None):
     """(tiles, fragments) per block of raster cells, vectorized.
 
-    A block is `window` cells along each axis, by default 2, the cells
-    around one interior lattice vertex; fragments counts the runs of
-    consecutive scanning positions among the block's tiles.
+    A block is a tuple of cell offsets, read at every anchor cell whose
+    offsets all fall inside the raster: by default the 2^d cells around one
+    lattice vertex, a rectangular window is the `itertools.product` of
+    ranges, and a hexagonal raster takes axial offsets.  tiles counts the
+    distinct ids in the block and fragments the runs of consecutive
+    scanning positions among them, that is the distinct ids v whose v - 1
+    is not in the block.  A -1 cell means "no cell", so a block holding one
+    is not interior and gets 0 tiles and 0 fragments.  The counts are built
+    from whole-raster comparisons, one pair of offsets at a time.
     """
-    window = window or (2,) * ids.ndim
-    blocks = [ids[tuple(slice(o, s - w + 1 + o) for o, w, s in zip(off, window, ids.shape))]
-              for off in itertools.product(*map(range, window))]
-    arr = np.sort(np.stack(blocks, axis=-1).reshape(-1, len(blocks)), axis=1)
-    diffs = np.diff(arr, axis=1)
-    return (diffs != 0).sum(axis=1) + 1, (diffs > 1).sum(axis=1) + 1
+    block = block or tuple(itertools.product((0, 1), repeat=ids.ndim))
+    lo, hi = np.min(block, axis=0), np.max(block, axis=0)
+    n = tuple(max(s - (h - l), 0) for s, l, h in zip(ids.shape, lo, hi))
+    cells = [ids[tuple(slice(o - l, o - l + k) for o, l, k in zip(off, lo, n))]
+             for off in block]
+    tiles = np.zeros(n, dtype=np.int64)
+    fragments = np.zeros(n, dtype=np.int64)
+    inside = np.ones(n, dtype=bool)
+    for i, c in enumerate(cells):
+        inside &= c >= 0
+        new = np.ones(n, dtype=bool)      # c differs from every earlier cell
+        for d in cells[:i]:
+            new &= c != d
+        tiles += new
+        below = c - 1
+        for d in cells:                   # ... and starts a run: no c - 1
+            new &= d != below
+        fragments += new
+    tiles *= inside
+    fragments *= inside
+    return tiles.reshape(-1), fragments.reshape(-1)
+
+
+def _box_blocks(dim):
+    """The blocks where boxes on a raster meet: the 2^d cells around a
+    lattice vertex and, in 3D, the 1x2x2 cells around a lattice edge
+    midpoint, where boxes can meet without sharing a lattice vertex."""
+    windows = [(2,) * dim]
+    if dim == 3:
+        windows += [tuple(1 if a == axis else 2 for a in range(3)) for axis in range(3)]
+    return [tuple(itertools.product(*map(range, w))) for w in windows]
+
+
+def _max_block_degree(ids, blocks):
+    """Most distinct ids in any of the blocks, read at every anchor."""
+    return max(int(_vertex_stats_grid(ids, b)[0].max(initial=0)) for b in blocks)
 
 
 def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
-    """Max interior vertex degree via rasterization (2D/3D rectilinear).
-
-    In 3D this also inspects lattice edge midpoints, where boxes can meet
-    without sharing a lattice vertex.
-    """
+    """Max interior vertex degree via rasterization (2D/3D rectilinear)."""
     ids = rasterize(rs, depth, budget).ids
-    windows = [(2,) * ids.ndim]
-    if ids.ndim == 3:
-        windows += [tuple(1 if a == axis else 2 for a in range(3)) for axis in range(3)]
-    return max(int(_vertex_stats_grid(ids, w)[0].max(initial=0)) for w in windows)
+    return _max_block_degree(ids, _box_blocks(ids.ndim))

@@ -11,16 +11,21 @@ hexagonal lattice every lattice vertex touches only three cells, but a
 degenerating construction can squeeze four distinct tiles onto a single
 lattice edge (the edge collapses to a point in the limit), so hex lattices
 are audited per edge; square/cubic lattices are audited at lattice vertices
-and, in 3D, at edge-interior points.
+and, in 3D, at edge-interior points.  Every audit reads one integer label
+raster (`label_grid`) through `expand._vertex_stats_grid`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import Coord, ZERO, ONE, HALF, SQRT3, coord, sqrt_compare
+from .expand import _box_blocks, _max_block_degree
 
 
 class LatticeError(ValueError):
@@ -414,152 +419,72 @@ def default_window(spec):
 
 # -- degree measurement ------------------------------------------------------------
 
+# the four cells around each of a hex cell's three edge axes: the edge's two
+# cells and the two cells at its end vertices
+_HEX_EDGE_BLOCKS = (((0, 0), (1, 0), (0, 1), (1, -1)),
+                    ((0, 0), (0, 1), (-1, 1), (1, 0)),
+                    ((0, 0), (-1, 1), (0, 1), (-1, 0)))
+# the three cells around each of a hex cell's two vertex orientations
+_HEX_VERTEX_BLOCKS = (((0, 0), (0, 1), (-1, 1)),
+                      ((0, 0), (0, -1), (1, -1)))
+
+
+def label_grid(ll):
+    """The lattice's labels painted into one int32 raster.
+
+    Labels are numbered densely and -1 marks "no cell".  Hex cells sit at
+    their axial (q, r) index.  A shifted-square (shifted-cube) cell is a
+    3x3 (3x3x3) block on the lattice of a third of its side, the pitch
+    1/(3*5**level) of the coarse tiling, where its box from
+    `shifted_square_box` / `shifted_cube_box` has integer corners.
+    """
+    dense = {}
+    labels = np.array([dense.setdefault(lab, len(dense)) for lab in ll.cells.values()],
+                      dtype=np.int32)
+    if ll.spec.kind == "hex":
+        lo = np.array(list(ll.cells), dtype=np.int64).reshape(-1, 2)
+        side = 1
+    else:
+        box = shifted_square_box if ll.spec.kind == "shifted-square" else shifted_cube_box
+        dim = len(next(iter(ll.cells)))
+        lo = np.array([[int(3 * v) for v in box(cell)[:dim]] for cell in ll.cells],
+                      dtype=np.int64)
+        side = 3
+    lo -= lo.min(axis=0)
+    grid = np.full(tuple(lo.max(axis=0) + side), -1, dtype=np.int32)
+    for off in itertools.product(range(side), repeat=lo.shape[1]):
+        grid[tuple((lo + off).T)] = labels
+    return grid
+
+
 def lattice_degree(ll):
     """Maximum number of distinct labels meeting at a lattice feature.
 
-    hex: per-edge audit (labels of the four cells around an interior edge),
-    which also catches tiles degenerating onto an edge.  shifted-square:
-    lattice vertices.  shifted-cube: vertices plus edge-interior points.
+    Read from `label_grid` by `expand._vertex_stats_grid`, where a block
+    holding a -1 cell is not interior and counts 0.  hex: the four cells
+    around each interior edge, which also catches tiles degenerating onto
+    an edge.  shifted-square: the 2x2 blocks at lattice vertices.
+    shifted-cube: the 2x2x2 vertex blocks plus the 1x2x2 blocks at
+    edge-interior points.
     """
-    spec = ll.spec
-    if spec.kind == "hex":
-        return _hex_degree(ll)
-    return _degree_over_points(ll)
-
-
-def _hex_degree(ll):
-    cells = ll.cells
-    best = 0
-    for (q, r), lab in cells.items():
-        edges = (
-            (((q, r), (q + 1, r), (q, r + 1)), ((q, r), (q + 1, r), (q + 1, r - 1))),
-            (((q, r), (q, r + 1), (q - 1, r + 1)), ((q, r), (q, r + 1), (q + 1, r))),
-            (((q, r), (q - 1, r + 1), (q, r + 1)), ((q, r), (q - 1, r + 1), (q - 1, r))),
-        )
-        for v1, v2 in edges:
-            group = set(v1) | set(v2)
-            labs = set()
-            ok = True
-            for cell in group:
-                if cell not in cells:
-                    ok = False
-                    break
-                labs.add(cells[cell])
-            if ok:
-                best = max(best, len(labs))
-    return best
+    grid = label_grid(ll)
+    if ll.spec.kind == "hex":
+        return _max_block_degree(grid, _HEX_EDGE_BLOCKS)
+    return _max_block_degree(grid, _box_blocks(grid.ndim))
 
 
 def hex_vertex_degree(ll):
     """Classic per-vertex audit (three cells per hexagonal lattice vertex)."""
-    cells = ll.cells
-    best = 0
-    for (q, r) in cells:
-        for tri in (((q, r), (q, r + 1), (q - 1, r + 1)),
-                    ((q, r), (q, r - 1), (q + 1, r - 1))):
-            labs = set()
-            ok = True
-            for cell in tri:
-                if cell not in cells:
-                    ok = False
-                    break
-                labs.add(cells[cell])
-            if ok:
-                best = max(best, len(labs))
-    return best
-
-
-def _int_boxes(ll):
-    """Cells as integer boxes of side 6 (scale by 6 * 5**level), bucketed."""
-    import itertools
-    dim = 2 if ll.spec.kind == "shifted-square" else 3
-    mul = 6 * 5 ** ll.level
-    boxes = []
-    for cell, lab in ll.cells.items():
-        if dim == 2:
-            b = shifted_square_box(cell, Fraction(1, 5 ** ll.level))
-            ib = tuple(int(v * mul) for v in b)
-        else:
-            b = shifted_cube_box(cell, Fraction(1, 5 ** ll.level))
-            ib = tuple(int(v * mul) for v in b)
-        boxes.append((ib, lab))
-    buckets = {}
-    for idx, (ib, _) in enumerate(boxes):
-        lo = [v // 6 for v in ib[:dim]]
-        hi = [v // 6 for v in ib[dim:]]
-        for key in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            buckets.setdefault(key, []).append(idx)
-    return boxes, buckets, dim
-
-
-def _degree_over_points(ll):
-    """Max distinct labels at any interior lattice vertex/edge point."""
-    import itertools
-    boxes, buckets, dim = _int_boxes(ll)
-
-    def incident(p):
-        key = tuple(v // 6 for v in p)
-        seen = set()
-        out = []
-        for off in itertools.product((-1, 0), repeat=dim):
-            k = tuple(a + b for a, b in zip(key, off))
-            for idx in buckets.get(k, ()):
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                ib, lab = boxes[idx]
-                if all(ib[ax] <= p[ax] <= ib[dim + ax] for ax in range(dim)):
-                    out.append(lab)
-        return out
-
-    def covered(p):
-        key = tuple(v // 6 for v in p)
-        for off in itertools.product((-1, 0), repeat=dim):
-            k = tuple(a + b for a, b in zip(key, off))
-            for idx in buckets.get(k, ()):
-                ib, _ = boxes[idx]
-                if all(ib[ax] <= p[ax] <= ib[dim + ax] for ax in range(dim)):
-                    return True
-        return False
-
-    pts = set()
-    for ib, _ in boxes:
-        corners = itertools.product(*((ib[ax], ib[dim + ax]) for ax in range(dim)))
-        for c in corners:
-            pts.add(c)
-        if dim == 3:
-            mids = tuple((ib[ax] + ib[3 + ax]) // 2 for ax in range(3))
-            for ax in range(3):
-                others = [a for a in range(3) if a != ax]
-                for v0 in (ib[others[0]], ib[3 + others[0]]):
-                    for v1 in (ib[others[1]], ib[3 + others[1]]):
-                        p = [0, 0, 0]
-                        p[ax] = mids[ax]
-                        p[others[0]] = v0
-                        p[others[1]] = v1
-                        pts.add(tuple(p))
-    best = 0
-    for p in pts:
-        labs = incident(p)
-        if len(set(labs)) <= best or len(labs) < 3:
-            continue
-        # interior: all orthant probes one unit off must be covered
-        interior = all(
-            covered(tuple(v + d for v, d in zip(p, delta)))
-            for delta in itertools.product((-1, 1), repeat=dim))
-        if interior:
-            best = max(best, len(set(labs)))
-    return best
+    return _max_block_degree(label_grid(ll), _HEX_VERTEX_BLOCKS)
 
 
 def coarse_degree(spec, window=None):
     """Degree of the unrecursified (level-0) tiling."""
     if spec.kind == "hex":
         ll = LabelledLattice(spec, 0, {c: c for c in (window or _hex_window0())}, set())
-        return max(_hex_degree(ll), hex_vertex_degree(ll))
+        return max(lattice_degree(ll), hex_vertex_degree(ll))
     cells = window or default_window(spec)
-    ll = LabelledLattice(spec, 0, {c: c for c in cells}, set(cells))
-    return _degree_over_points(ll)
+    return lattice_degree(LabelledLattice(spec, 0, {c: c for c in cells}, set(cells)))
 
 
 def _hex_window0():

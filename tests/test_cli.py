@@ -94,6 +94,23 @@ def test_recursify_cmd(capsys):
     assert payload["degree"] == 3 and payload["cells_per_label"] == [81]
 
 
+@pytest.mark.parametrize("spec,levels,want", [
+    ("shifted-square", 2,
+     {"spec": "shifted-square", "levels": 2, "cells": 5625, "cells_per_label": [625],
+      "degree": 3, "disconnected_labels": 0,
+      "displacement": {"d1": 0.0666666666667, "factor": 0.2,
+                       "d_inf": 0.0833333333333, "safe_radius": 0.0833333333333}}),
+    ("shifted-cube", 1,
+     {"spec": "shifted-cube", "levels": 1, "cells": 3375, "cells_per_label": [125],
+      "degree": 4, "disconnected_labels": 0,
+      "displacement": {"d1": 0.0942809041582, "factor": 0.2,
+                       "d_inf": 0.117851130198, "safe_radius": 0.0488155364689}}),
+])
+def test_recursify_cmd_shifted(capsys, spec, levels, want):
+    code, out = run(capsys, "recursify", "--spec", spec, "--levels", str(levels))
+    assert code == 0 and json.loads(out) == want
+
+
 def test_predict_cmd(capsys):
     code, out = run(capsys, "predict", "--family", "hypercube", "--dim", "3")
     assert json.loads(out)["arrwwid"] == 8

@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from arrwwid import catalog
 from arrwwid.exact import ONE, coord
 from arrwwid.expand import (expand, vertex_degrees, count_tiles, tile_at,
-                            rasterize, max_interior_degree_fast, BudgetError)
+                            rasterize, max_interior_degree_fast, BudgetError,
+                            scan_raster, _vertex_stats_grid)
 
 
 def test_counts_and_partition(quadtree, daun, lifted_daun):
@@ -81,3 +85,42 @@ def test_budget(quadtree):
 def test_address_order_deterministic(hilbert):
     a = [t.address for t in expand(hilbert, 2)]
     assert a == sorted(a)
+
+
+def _window_stats_grid(ids, window=None):
+    """The rectangular-window block reader the offset blocks generalize."""
+    window = window or (2,) * ids.ndim
+    blocks = [ids[tuple(slice(o, s - w + 1 + o) for o, w, s in zip(off, window, ids.shape))]
+              for off in itertools.product(*map(range, window))]
+    arr = np.sort(np.stack(blocks, axis=-1).reshape(-1, len(blocks)), axis=1)
+    diffs = np.diff(arr, axis=1)
+    return (diffs != 0).sum(axis=1) + 1, (diffs > 1).sum(axis=1) + 1
+
+
+@pytest.mark.parametrize("name,depth", [("daun", 3), ("dekking", 3), ("hilbert", 4),
+                                        ("lifted-daun", 2), ("coil3d", 2)])
+def test_rectangular_blocks_match_window_reader(name, depth):
+    ids, _ = scan_raster(catalog.builtin(name).ruleset, depth)
+    windows = [None] + [(1, 2, 2), (2, 1, 2), (2, 2, 1)] * (ids.ndim == 3) + [(3,) * ids.ndim]
+    for window in windows:
+        block = window and tuple(itertools.product(*map(range, window)))
+        got, want = _vertex_stats_grid(ids, block), _window_stats_grid(ids, window)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (name, window)
+
+
+def test_hex_blocks_count_zero_next_to_a_missing_cell():
+    # an axial raster grid[q, r]; the edge block anchored at (0, 1) holds
+    # the edge's two cells (0, 1), (1, 1) and the cells at its two end
+    # vertices, (0, 2) and (1, 0)
+    edge = ((0, 0), (1, 0), (0, 1), (1, -1))
+    triangle = ((0, 0), (0, -1), (1, -1))
+    grid = np.array([[-1, 0, 2],
+                     [-1, 1, -1]], dtype=np.int32)
+    tiles, fragments = _vertex_stats_grid(grid, edge)
+    assert tiles.tolist() == [0] and fragments.tolist() == [0]
+    # the vertex of (0, 2), (0, 1), (1, 1) is whole; the one below it is not
+    assert _vertex_stats_grid(grid, triangle)[0].tolist() == [0, 3]
+    grid[1, 0] = 1
+    tiles, fragments = _vertex_stats_grid(grid, edge)
+    assert tiles.tolist() == [3] and fragments.tolist() == [1]

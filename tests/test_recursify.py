@@ -1,10 +1,15 @@
+import functools
+import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arrwwid.recursify import (get_spec, recursify, lattice_degree, hex_vertex_degree,
                                coarse_degree, connected, displacement_bound,
-                               exact_compare, owner, LatticeError,
+                               exact_compare, owner, LatticeError, LabelledLattice,
+                               default_window, label_grid, _hex_window0,
                                shifted_cube_box, shifted_square_box)
 
 
@@ -148,3 +153,121 @@ def test_displacement_requires_contraction():
         DisplacementBound("degenerate", 0.1, 1.0, 0.5)
     with pytest.raises(LatticeError):
         displacement_bound(get_spec("hex-9"))
+
+
+# -- slow reference: the degree scans, one cell or one point at a time -----------
+
+def _slow_hex_groups(ll, groups_of):
+    """Most distinct labels over the cell groups around each cell, counting
+    only groups whose cells are all present."""
+    cells = ll.cells
+    best = 0
+    for (q, r) in cells:
+        for group in groups_of(q, r):
+            if all(cell in cells for cell in group):
+                best = max(best, len({cells[cell] for cell in group}))
+    return best
+
+
+def _slow_hex_edge_degree(ll):
+    return _slow_hex_groups(ll, lambda q, r: (
+        ((q, r), (q + 1, r), (q, r + 1), (q + 1, r - 1)),
+        ((q, r), (q, r + 1), (q - 1, r + 1), (q + 1, r)),
+        ((q, r), (q - 1, r + 1), (q, r + 1), (q - 1, r))))
+
+
+def _slow_hex_vertex_degree(ll):
+    return _slow_hex_groups(ll, lambda q, r: (
+        ((q, r), (q, r + 1), (q - 1, r + 1)),
+        ((q, r), (q, r - 1), (q + 1, r - 1))))
+
+
+def _slow_box_degree(ll):
+    """Max distinct labels at any interior box corner or, in 3D, box edge
+    midpoint, with the boxes as exact integers on the 6 * 5**level grid; a
+    point is interior when the probes one unit off it into every orthant
+    lie in some closed box."""
+    dim = 2 if ll.spec.kind == "shifted-square" else 3
+    box = shifted_square_box if dim == 2 else shifted_cube_box
+    mul = 6 * 5 ** ll.level
+    boxes = []
+    for cell, lab in ll.cells.items():
+        b = [v * mul for v in box(cell, Fraction(1, 5 ** ll.level))]
+        assert all(v.denominator == 1 for v in b)
+        boxes.append((tuple(int(v) for v in b), lab))
+    buckets = {}
+    for idx, (ib, _) in enumerate(boxes):
+        for key in itertools.product(*(range(ib[ax] // 6, ib[dim + ax] // 6 + 1)
+                                       for ax in range(dim))):
+            buckets.setdefault(key, []).append(idx)
+
+    def incident(p):
+        found = set()
+        for off in itertools.product((-1, 0), repeat=dim):
+            key = tuple(v // 6 + o for v, o in zip(p, off))
+            for idx in buckets.get(key, ()):
+                ib = boxes[idx][0]
+                if all(ib[ax] <= p[ax] <= ib[dim + ax] for ax in range(dim)):
+                    found.add(idx)
+        return found
+
+    pts = set()
+    for ib, _ in boxes:
+        pts.update(itertools.product(*((ib[ax], ib[dim + ax]) for ax in range(dim))))
+        if dim == 3:
+            for ax in range(3):
+                mid = (ib[ax] + ib[3 + ax]) // 2
+                for p in itertools.product(*((ib[a], ib[3 + a]) for a in range(3))):
+                    pts.add(p[:ax] + (mid,) + p[ax + 1:])
+    best = 0
+    for p in pts:
+        found = incident(p)
+        labs = {boxes[idx][1] for idx in found}
+        if len(labs) <= best or len(found) < 3:
+            continue
+        if all(incident(tuple(v + d for v, d in zip(p, delta)))
+               for delta in itertools.product((-1, 1), repeat=dim)):
+            best = len(labs)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(name, level):
+    spec = get_spec(name)
+    if level == 0:
+        cells = default_window(spec)
+        return LabelledLattice(spec, 0, {c: c for c in cells}, set(cells))
+    return recursify(spec, level)
+
+
+@pytest.mark.parametrize("name", ["hex-9", "gosper-7", "rhombus-4", "disconnected-4"])
+def test_hex_degrees_match_slow_scan(name):
+    for level in (1, 2, 3):
+        ll = _lattice(name, level)
+        assert lattice_degree(ll) == _slow_hex_edge_degree(ll), (name, level)
+        assert hex_vertex_degree(ll) == _slow_hex_vertex_degree(ll), (name, level)
+    ll0 = LabelledLattice(get_spec(name), 0, {c: c for c in _hex_window0()}, set())
+    assert coarse_degree(get_spec(name)) == max(_slow_hex_edge_degree(ll0),
+                                                _slow_hex_vertex_degree(ll0))
+
+
+@pytest.mark.parametrize("name,levels", [("shifted-square", (1, 2)),
+                                         ("shifted-cube", (1,))])
+def test_box_degrees_match_slow_scan(name, levels):
+    assert coarse_degree(get_spec(name)) == _slow_box_degree(_lattice(name, 0))
+    for level in levels:
+        ll = _lattice(name, level)
+        assert lattice_degree(ll) == _slow_box_degree(ll), (name, level)
+
+
+def test_label_grid_paints_every_cell_once():
+    # dense ids follow first appearance, so each id's painted raster cells
+    # are its label's cell count times the cells per lattice cell
+    for name, level, side in (("hex-9", 2, 1), ("shifted-square", 1, 3),
+                              ("shifted-cube", 0, 3)):
+        ll = _lattice(name, level)
+        grid = label_grid(ll)
+        assert grid.dtype == np.int32
+        per_label = list(Counter(ll.cells.values()).values())
+        assert np.array_equal(np.bincount(grid[grid >= 0]),
+                              np.array(per_label) * side ** grid.ndim)
