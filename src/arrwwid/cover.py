@@ -19,7 +19,7 @@ from .exact import ZERO, ONE, coord
 from .shapes import Box
 from .rules import RuleError
 from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, lattice_pitch, prefix_table,
-                     scan_raster, walk, _vertex_stats_grid)
+                     scan_raster, state_table, table_walk, walk, _vertex_stats_grid)
 from .curves import Interval
 
 
@@ -171,7 +171,13 @@ def canonical_level(rs, r, kappa=Fraction(2), max_level=64):
 
 
 def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET):
-    """Tiles at the canonical level whose closure meets the query."""
+    """Tiles at the canonical level whose closure meets the query.
+
+    On a rule set with a state table and a query whose center (from the
+    unit's min corner) and half-widths are rational, the descent prunes on
+    integer boxes (`table_walk`); otherwise it walks exact transforms.  Both
+    visit the same nodes, and more than `budget` of them raise BudgetError.
+    """
     if not q.inside_unit(rs.unit_rule.base):
         raise RuleError("query is not contained in the unit tile")
     if level is None:
@@ -180,26 +186,97 @@ def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET
         else:
             level = canonical_level(rs, max(q.half_extents), kappa)
     base = rs.unit_rule.base
-    rules = rs.rules
+    table = state_table(rs)
+    misses = None if table is None else _table_misses(rs, table, q, level)
+    if misses is None:
+        table, misses = None, _exact_misses(rs, q)
     visited = 0
 
-    def misses(address, rule_name, transform, rev, lo, length):
+    def counted(*node):
         nonlocal visited
         visited += 1
         if visited > budget:
-            raise BudgetError("cover descent exceeded budget")
+            raise BudgetError("cover descent visited %d nodes against a budget of %d "
+                              "(cover level %d)" % (visited, budget, level))
+        return misses(*node)
+
+    leaves = list(_scan(rs, level, counted, table))
+    den = prefix_table(rs)[0] ** level
+    addresses = [leaf[0] for leaf in leaves]
+    intervals = [Interval(Fraction(leaf[-2], den), Fraction(leaf[-2] + leaf[-1], den))
+                 for leaf in leaves]
+    # a tile's parameter length is its share of the unit's area
+    total = coord(Fraction(sum(leaf[-1] for leaf in leaves), den)) * base.measure()
+    return CoverReport(q, level, addresses, intervals, [addresses] if addresses else [],
+                       total, q.measure())
+
+
+def _scan(rs, level, prune, table):
+    """The scanning-order nodes of `level` that `prune` keeps, each ending in
+    its parameter numerators (lo, length): on the state table when one is
+    given, else through the exact `walk`."""
+    if table is None:
+        return walk(rs, level, prune=prune, scan=True)
+    return table_walk(rs, level, prune=prune)
+
+
+def _exact_misses(rs, q):
+    """`walk` pruning: the node's exact box (or bounding box) misses q."""
+    rules = rs.rules
+
+    def misses(address, rule_name, transform, rev, lo, length):
         geom = rules[rule_name].base.transform(transform)
         return not q.intersects_box(geom if isinstance(geom, Box) else geom.bounding_box())
 
-    leaves = list(walk(rs, level, prune=misses, scan=True))
-    den = prefix_table(rs)[0] ** level
-    addresses = [leaf[0] for leaf in leaves]
-    intervals = [Interval(Fraction(lo, den), Fraction(lo + n, den))
-                 for _, _, _, _, lo, n in leaves]
-    # a tile's parameter length is its share of the unit's area
-    total = coord(Fraction(sum(leaf[5] for leaf in leaves), den)) * base.measure()
-    return CoverReport(q, level, addresses, intervals, [addresses] if addresses else [],
-                       total, q.measure())
+    return misses
+
+
+def _table_misses(rs, table, q, level):
+    """`table_walk` pruning: the same closed-closed test as
+    `QueryRange.intersects_box`, on integers, or None unless the query's
+    center offsets and half-widths are rational.
+
+    The query is scaled once into cells of the cover level's pitch and its
+    denominators cleared; a depth-d node's corner and extent then scale by
+    mult[d] = scale * k**(level - d).
+    """
+    values = [c - o for c, o in zip(q.center, rs.unit_rule.base.lo)]
+    values += q.bounding_halfwidths()
+    if not all(v.is_rational for v in values):
+        return None
+    pitch = table.p1 * Fraction(table.k) ** (1 - level)
+    values = [v.as_fraction() / pitch for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    center, half = values[:q.dim], values[q.dim:]
+    mult = [scale * table.k ** (level - d) for d in range(level + 1)]
+    extent = table.extent.tolist()
+    if q.kind == "ball":
+        r2 = half[0] * half[0]
+
+        def misses(address, state, corner, lo, length):
+            m = mult[len(address)]
+            d2 = 0
+            for c, p, e in zip(center, corner, extent[state]):
+                p *= m
+                if c < p:
+                    d2 += (p - c) * (p - c)
+                else:
+                    p += e * m
+                    if c > p:
+                        d2 += (c - p) * (c - p)
+            return d2 > r2
+
+        return misses
+    lows = [c - h for c, h in zip(center, half)]
+    highs = [c + h for c, h in zip(center, half)]
+
+    def misses(address, state, corner, lo, length):
+        m = mult[len(address)]
+        return any(p * m > h or l > (p + e) * m
+                   for l, h, p, e in zip(lows, highs, corner, extent[state]))
+
+    return misses
 
 
 def cover_fragments(rs, q, level=None, kappa=Fraction(2), merge_budget=None,
@@ -227,17 +304,17 @@ def _addresses_between(rs, lo, hi, level):
     """(address, interval) of the level tiles inside [lo, hi], in scanning order.
 
     lo and hi are ends of level tiles, so every level tile lies either inside
-    [lo, hi] or outside it.
+    [lo, hi] or outside it.  The pruning reads parameter intervals only.
     """
     den = prefix_table(rs)[0]
 
-    def outside(address, rule_name, transform, rev, t_lo, length):
-        scale = den ** len(address)
+    def outside(address, *node):
+        t_lo, length, scale = node[-2], node[-1], den ** len(address)
         return t_lo >= hi * scale or t_lo + length <= lo * scale
 
     scale = den ** level
-    return [(leaf[0], Interval(Fraction(leaf[4], scale), Fraction(leaf[4] + leaf[5], scale)))
-            for leaf in walk(rs, level, prune=outside, scan=True)]
+    return [(leaf[0], Interval(Fraction(leaf[-2], scale), Fraction(leaf[-2] + leaf[-1], scale)))
+            for leaf in _scan(rs, level, outside, state_table(rs))]
 
 
 def _merge_runs(rs, runs, report, merge_budget):

@@ -1,7 +1,7 @@
 """The one tile-tree traversal (`walk`) and what is built on it: expansion
 into tile sets with exact vertex analysis.  Also the compiled integer state
-table of a uniform rectilinear rule set and the scan-order lattice raster
-expanded from it."""
+table of a uniform rectilinear rule set, the same descent on it in integers
+(`table_walk`) and the scan-order lattice raster expanded from it."""
 
 from __future__ import annotations
 
@@ -278,6 +278,7 @@ class StateTable:
         self.extent = extent
         self.k = k
         self.p1 = p1
+        self.slots = None        # table_walk's per-state child lists
 
 
 def state_table(rs):
@@ -298,40 +299,97 @@ def _compile_states(rs):
     k = 1 / scale.as_fraction() if scale.is_rational else None
     if k is None or k.denominator != 1:
         return None
-    rules, origin = rs.rules, (0,) * rs.dim
+    k, rules = k.numerator, rs.rules
+    # states in discovery order; a (rule, ortho) type lists its children's
+    # types once, for both of its reversal flags
     states = [(rs.unit, Ortho.identity(rs.dim), False)]
     index = {states[0]: 0}
-    kids, offs, extent = [], [], []
+    types, kids = {}, []
     for rule_name, ortho, rev in states:     # grows while it is read
-        frame = Similarity(1, ortho, origin)
-        img = rules[rule_name].base.transform(frame)
-        children = rules[rule_name].children
-        row = []
-        for ch in reversed(children) if rev else children:
-            state = (ch.rule, ortho.compose(ch.placement.ortho), rev ^ ch.reversed)
+        row = types.get((rule_name, ortho))
+        if row is None:
+            row = types[rule_name, ortho] = [(ch.rule, ortho.compose(ch.placement.ortho),
+                                              ch.reversed) for ch in rules[rule_name].children]
+        kid_row = []
+        for name, o, flip in reversed(row) if rev else row:
+            state = (name, o, rev ^ flip)
             if state not in index:
                 index[state] = len(states)
                 states.append(state)
-            row.append(index[state])
-            box = rules[ch.rule].base.transform(frame.compose(ch.placement))
-            offs.append([c - l for c, l in zip(box.lo, img.lo)])
-        kids.append(row)
-        extent.append([e * scale for e in img.extent()])
-    values = [v for vs in offs + extent for v in vs]
-    if not all(v.is_rational for v in values):
-        return None
-    den = math.lcm(*(v.as_fraction().denominator for v in values))
-
-    def in_cells(rows):
-        return np.array([[int(v.as_fraction() * den) for v in row] for row in rows],
-                        dtype=np.int64)
-
-    kids, offs, extent = np.array(kids, dtype=np.int32), in_cells(offs), in_cells(extent)
-    offs = offs.reshape(len(states), -1, rs.dim)
+            kid_row.append(index[state])
+        kids.append(kid_row)
+    unit, boxes = _rule_boxes(rs, dict.fromkeys(name for name, _, _ in states), k)
+    # each type's child offsets and extent: the min corner of M(box), for a
+    # signed permutation M = pos + neg, is pos lo + neg hi
+    rows = {}
+    for rule_name, ortho in types:
+        ext, lo, hi = boxes[rule_name]
+        pos, neg = _ortho_parts(ortho)
+        rows[rule_name, ortho] = (lo @ pos.T + hi @ neg.T - (k * ext @ neg.T)[:, None],
+                                  ext @ (pos - neg).T)
+    offs = np.array([rows[r, o][0][:, ::-1] if rev else rows[r, o][0] for r, o, rev in states])
+    extent = np.array([rows[r, o][1] for r, o, _ in states])
+    if offs[:, 1].any() or extent[:, 1].any():
+        return None                      # a sqrt(3) part left over: irrational
+    offs, extent = offs[:, 0], extent[:, 0]
+    # the coarsest lattice holding every offset and extent
+    g = int(np.gcd.reduce(np.concatenate([offs.ravel(), extent.ravel(), [k * unit]])))
+    offs, extent = offs // g, extent // g
+    kids = np.array(kids, dtype=np.int32)
     # the raster's cell numbering needs every child inside its parent
-    if not ((offs >= 0) & (offs + extent[kids] <= k.numerator * extent[:, None])).all():
+    if not ((offs >= 0) & (offs + extent[kids] <= k * extent[:, None])).all():
         return None
-    return StateTable(states, kids, offs, extent, k.numerator, Fraction(1, den))
+    return StateTable(states, kids, offs, extent, k, Fraction(g, k * unit))
+
+
+def _rule_boxes(rs, names, k):
+    """Each named rule's base extent and its children's boxes, in the rule's
+    own frame relative to its base's min corner, on one integer lattice.
+
+    Returns (den, {rule: (ext, lo, hi)}): integer arrays in units of
+    1/(k den), with a leading axis of size 2 for the rational and the sqrt(3)
+    part of each value; ext (2, d) is the base's extent scaled by 1/k, lo
+    and hi (2, n, d) the children's corners.
+    """
+    rules = rs.rules
+    coords = [v for n in names for v in rules[n].base.lo + rules[n].base.hi]
+    coords += [t for n in names for ch in rules[n].children for t in ch.placement.trans]
+    # a Coord is (a + b sqrt(3)) / c: one lcm of the c puts both parts on integers
+    den = math.lcm(*(v.c for v in coords))
+
+    def parts(values):
+        return np.array([[v.a * (den // v.c) for v in values],
+                         [v.b * (den // v.c) for v in values]], dtype=np.int64)
+
+    base = {n: (parts(rules[n].base.lo), parts(rules[n].base.hi)) for n in names}
+    boxes = {}
+    for n in names:
+        children = rules[n].children
+        pos, neg = (np.array(m) for m in zip(*(_ortho_parts(ch.placement.ortho)
+                                               for ch in children)))
+        c_lo = np.array([base[ch.rule][0] for ch in children]).transpose(1, 0, 2)
+        c_hi = np.array([base[ch.rule][1] for ch in children]).transpose(1, 0, 2)
+        # k times a child box's corners s M(box) + t, from the base's min corner
+        shift = k * (parts([t for ch in children for t in ch.placement.trans])
+                     .reshape(2, len(children), -1) - base[n][0][:, None])
+        lo = np.einsum("nab,pnb->pna", pos, c_lo) + np.einsum("nab,pnb->pna", neg, c_hi)
+        hi = np.einsum("nab,pnb->pna", pos, c_hi) + np.einsum("nab,pnb->pna", neg, c_lo)
+        boxes[n] = (base[n][1] - base[n][0], lo + shift, hi + shift)
+    return den, boxes
+
+
+def _ortho_parts(ortho):
+    """(pos, neg): the positive and the negative entries of an axis-aligned
+    ortho's integer matrix."""
+    if ortho.dim == 3:
+        m = np.zeros((3, 3), dtype=np.int64)
+        m[range(3), ortho.perm] = ortho.signs
+    else:
+        # a rotation by a multiple of 90 degrees after the reflection y -> -y
+        c, s = ((1, 0), (0, 1), (-1, 0), (0, -1))[ortho.rot // 3]
+        f = -1 if ortho.reflect else 1
+        m = np.array([[c, -s * f], [s, c * f]], dtype=np.int64)
+    return np.maximum(m, 0), np.minimum(m, 0)
 
 
 class LatticeRaster:
@@ -397,6 +455,45 @@ def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
     return ids, lattice_pitch(rs, depth)
 
 
+def table_walk(rs, depth, prune=None):
+    """`walk` on the rule set's state table, in scanning order, composing no
+    transform.
+
+    Yields (address, state, corner, lo, length) for each kept node at
+    `depth`: state indexes `state_table(rs).states`, corner is the node's min
+    corner as integers in cells of its level's pitch (`p1 * k**(1 - level)`)
+    from the unit's min corner, and lo, length are `walk`'s parameter
+    numerators.  `prune` is called with the same five values on every node.
+    The rule set must have a state table.
+    """
+    table = state_table(rs)
+    if table.slots is None:
+        den, ends = prefix_table(rs)
+        table.slots = []
+        for s, (rule_name, _, rev) in enumerate(table.states):
+            n = len(table.kids[s])
+            row = []
+            for j, (kid, off) in enumerate(zip(table.kids[s].tolist(), table.offs[s].tolist())):
+                i = n - 1 - j if rev else j        # scan slot j holds child i
+                start, end = _child_span(den, ends[rule_name], i, rev)
+                row.append((i, kid, tuple(off), start, end - start))
+            # the stack pops last-pushed first: push in the reverse of scan order
+            table.slots.append(row[::-1])
+    den, slots, k = prefix_table(rs)[0], table.slots, table.k
+    stack = [((), 0, (0,) * rs.dim, 0, 1)]
+    while stack:
+        node = stack.pop()
+        if prune is not None and prune(*node):
+            continue
+        address, state, corner, lo, length = node
+        if len(address) == depth:
+            yield node
+            continue
+        for i, kid, off, start, span in slots[state]:
+            stack.append((address + (i,), kid, tuple(k * c + o for c, o in zip(corner, off)),
+                          lo * den + length * start, length * span))
+
+
 def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """The scan raster of a uniform rectilinear expansion, as a LatticeRaster."""
     ids, pitch = scan_raster(rs, depth, budget)
@@ -455,6 +552,10 @@ def _max_block_degree(ids, blocks):
 
 
 def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
-    """Max interior vertex degree via rasterization (2D/3D rectilinear)."""
-    ids = rasterize(rs, depth, budget).ids
-    return _max_block_degree(ids, _box_blocks(ids.ndim))
+    """Max interior vertex degree via rasterization (2D/3D rectilinear).
+
+    Only the 2^d vertex blocks are read: a scan raster has no -1 cells and at
+    least 2 cells per axis, so each 3D 1x2x2 edge block of `_box_blocks` lies
+    inside a vertex block, which holds at least as many distinct tiles.
+    """
+    return int(_vertex_stats_grid(rasterize(rs, depth, budget).ids)[0].max(initial=0))

@@ -154,3 +154,15 @@ def test_simulate_over_budget_exits_before_any_raster(capsys, monkeypatch):
                  "--points", "300", "--queries", "2"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,fragments,ratio", [((), 3, 45.8366236105),
+                                                   (("--merge-budget", "1000"), 1, 194.805650344)])
+def test_cover_cmd_readme_example(capsys, extra, fragments, ratio):
+    # stdout of the README `cover` example, as the exact cover path printed it
+    code, out = run(capsys, "cover", "--order", "dekking", "--center", "2/5,2/5",
+                    "--radius", "1/30", *extra)
+    assert code == 0
+    want = {"level": 1, "tiles": 4, "fragments": fragments, "cover_ratio": ratio,
+            "addresses": [[3], [5], [6], [19]]}
+    assert out == json.dumps(want, indent=2) + "\n"

@@ -8,7 +8,7 @@ from arrwwid import catalog
 from arrwwid.exact import ONE, coord
 from arrwwid.expand import (expand, vertex_degrees, count_tiles, tile_at,
                             rasterize, max_interior_degree_fast, BudgetError,
-                            scan_raster, _vertex_stats_grid)
+                            scan_raster, _box_blocks, _max_block_degree, _vertex_stats_grid)
 
 
 def test_counts_and_partition(quadtree, daun, lifted_daun):
@@ -124,3 +124,12 @@ def test_hex_blocks_count_zero_next_to_a_missing_cell():
     grid[1, 0] = 1
     tiles, fragments = _vertex_stats_grid(grid, edge)
     assert tiles.tolist() == [3] and fragments.tolist() == [1]
+
+
+@pytest.mark.parametrize("name", ["cube", "zorder3d", "coil3d", "lifted-daun"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_vertex_blocks_alone_give_the_3d_degree(name, depth):
+    # the 1x2x2 edge blocks can never raise a scan raster's maximum
+    rs = catalog.builtin(name).ruleset
+    ids, _ = scan_raster(rs, depth)
+    assert max_interior_degree_fast(rs, depth) == _max_block_degree(ids, _box_blocks(3))

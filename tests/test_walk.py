@@ -1,10 +1,11 @@
-"""`walk`, the one tile-tree traversal, and the state-table raster against
-independent slow paths.
+"""`walk`, the one tile-tree traversal, and the state table with what runs on
+it (the raster, `table_walk`, integer covers) against independent slow paths.
 
 The single-path references are `tile_at` (rule, transform, reversal) and
 `tile_interval` (parameter interval); covers are checked against a filter of
-the full expansion, and `scan_raster` against a raster painted tile by tile
-from exact boxes.
+the full expansion and against the exact `walk` path, `scan_raster` against
+a raster painted tile by tile from exact boxes, and the state table against
+a per-state exact compile.
 """
 
 import math
@@ -13,13 +14,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arrwwid import catalog
-from arrwwid.cover import QueryRange, cover_tiles, window_radii
+from arrwwid import catalog, cover
+from arrwwid.cover import (QueryRange, canonical_level, cover_fragments, cover_tiles,
+                           subdivision_ratio, window_radii, _exact_misses, _table_misses)
 from arrwwid.curves import Interval, tile_interval
-from arrwwid.exact import ZERO
-from arrwwid.expand import (count_tiles, expand, lattice_pitch, prefix_table, scan_raster,
-                            tile_at, walk)
-from arrwwid.rules import Child, Rule, RuleError, RuleSet, parse_ruleset
+from arrwwid.exact import ZERO, Coord, coord
+from arrwwid.expand import (BudgetError, StateTable, count_tiles, expand, lattice_pitch,
+                            prefix_table, scan_raster, state_table, table_walk, tile_at, walk,
+                            _compile_states)
+from arrwwid.rules import Child, Rule, RuleError, RuleSet, parse_ruleset, validate_ruleset
 from arrwwid.transforms import Ortho, Similarity
 
 
@@ -129,26 +132,17 @@ def test_scan_raster_matches_exact_painting_under_square_symmetries(name, rot, r
     _assert_raster_matches_exact(rs, 2)
 
 
-def test_off_lattice_scale_has_no_lattice():
-    # k = 3/2 is not an integer: depth-2 corners lie at 1/3 and 7/9, off the
-    # 2/9 lattice that level-1 corners and the scale alone would give
-    rs = parse_ruleset("""
+# three hand-built rule sets on which the state table compiles to None, or
+# to a table whose raster fails
+OFF_LATTICE = """
 unit A
 rule A
 base box 0 0 1 1
 child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(0,0)
 child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(1/3,1/3)
-""")
-    corners = {v.as_fraction() for t in expand(rs, 2) for v in t.geometry.lo + t.geometry.hi}
-    assert {Fraction(1, 3), Fraction(7, 9)} <= corners
-    assert lattice_pitch(rs, 2) is None
-    with pytest.raises(RuleError, match="no common cut lattice"):
-        scan_raster(rs, 2)
+"""
 
-
-def test_lattice_pitch_holds_corners_below_level_one():
-    # B places a child at x = 1/3, which level-1 corners do not show
-    rs = parse_ruleset("""
+BELOW_LEVEL_ONE = """
 unit A
 rule A
 base box 0 0 1 1
@@ -162,7 +156,33 @@ child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
 child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,0)
 child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
 child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/3,1/2)
-""")
+"""
+
+CHILD_OUTSIDE = """
+unit A
+rule A
+base box 0 0 1 1
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(3/4,0)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)
+"""
+
+
+def test_off_lattice_scale_has_no_lattice():
+    # k = 3/2 is not an integer: depth-2 corners lie at 1/3 and 7/9, off the
+    # 2/9 lattice that level-1 corners and the scale alone would give
+    rs = parse_ruleset(OFF_LATTICE)
+    corners = {v.as_fraction() for t in expand(rs, 2) for v in t.geometry.lo + t.geometry.hi}
+    assert {Fraction(1, 3), Fraction(7, 9)} <= corners
+    assert lattice_pitch(rs, 2) is None
+    with pytest.raises(RuleError, match="no common cut lattice"):
+        scan_raster(rs, 2)
+
+
+def test_lattice_pitch_holds_corners_below_level_one():
+    # B places a child at x = 1/3, which level-1 corners do not show
+    rs = parse_ruleset(BELOW_LEVEL_ONE)
     corners = {v.as_fraction() for t in expand(rs, 2) for v in t.geometry.lo + t.geometry.hi}
     assert {Fraction(1, 6), Fraction(2, 3)} <= corners
     pitch = lattice_pitch(rs, 2)
@@ -174,15 +194,7 @@ child rule=B scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/3,1/2)
 
 def test_child_outside_its_parent_has_no_lattice():
     # the second child reaches x = 5/4, past its parent's right side
-    rs = parse_ruleset("""
-unit A
-rule A
-base box 0 0 1 1
-child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
-child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(3/4,0)
-child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
-child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)
-""")
+    rs = parse_ruleset(CHILD_OUTSIDE)
     assert lattice_pitch(rs, 1) is None
     with pytest.raises(RuleError, match="no common cut lattice"):
         scan_raster(rs, 1)
@@ -212,3 +224,270 @@ def test_cover_tiles_matches_filtered_expansion(name, seed):
         for t in hits:
             total = total + t.geometry.measure()
         assert rep.total_area == total
+
+
+# -- the state table against the per-state exact compile ----------------------
+
+def _exact_compile_states(rs):
+    """The slow path: every state's base and child boxes transformed exactly
+    by the state's own frame, one state at a time."""
+    if not (rs.is_rectilinear() and rs.is_uniform()):
+        return None
+    scale = rs.child_scale()
+    k = 1 / scale.as_fraction() if scale.is_rational else None
+    if k is None or k.denominator != 1:
+        return None
+    rules, origin = rs.rules, (0,) * rs.dim
+    states = [(rs.unit, Ortho.identity(rs.dim), False)]
+    index = {states[0]: 0}
+    kids, offs, extent = [], [], []
+    for rule_name, ortho, rev in states:     # grows while it is read
+        frame = Similarity(1, ortho, origin)
+        img = rules[rule_name].base.transform(frame)
+        children = rules[rule_name].children
+        row = []
+        for ch in reversed(children) if rev else children:
+            state = (ch.rule, ortho.compose(ch.placement.ortho), rev ^ ch.reversed)
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            row.append(index[state])
+            box = rules[ch.rule].base.transform(frame.compose(ch.placement))
+            offs.append([c - l for c, l in zip(box.lo, img.lo)])
+        kids.append(row)
+        extent.append([e * scale for e in img.extent()])
+    values = [v for vs in offs + extent for v in vs]
+    if not all(v.is_rational for v in values):
+        return None
+    den = math.lcm(*(v.as_fraction().denominator for v in values))
+
+    def in_cells(rows):
+        return np.array([[int(v.as_fraction() * den) for v in row] for row in rows],
+                        dtype=np.int64)
+
+    kids, offs, extent = np.array(kids, dtype=np.int32), in_cells(offs), in_cells(extent)
+    offs = offs.reshape(len(states), -1, rs.dim)
+    if not ((offs >= 0) & (offs + extent[kids] <= k.numerator * extent[:, None])).all():
+        return None
+    return StateTable(states, kids, offs, extent, k.numerator, Fraction(1, den))
+
+
+def _assert_table_matches_exact(rs):
+    got, want = _compile_states(rs), _exact_compile_states(rs)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.states == want.states
+        assert (got.k, got.p1) == (want.k, want.p1)
+        for field in ("kids", "offs", "extent"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_state_table_matches_exact_compile(name):
+    _assert_table_matches_exact(catalog.builtin(name).ruleset)
+
+
+@pytest.mark.parametrize("name", ["daun", "kochel"])
+@pytest.mark.parametrize("rot", [0, 3, 6, 9])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_state_table_matches_exact_compile_under_square_symmetries(name, rot, reflect):
+    _assert_table_matches_exact(_conjugate(catalog.builtin(name).ruleset, Ortho(2, rot, reflect)))
+
+
+@pytest.mark.parametrize("text", [OFF_LATTICE, BELOW_LEVEL_ONE, CHILD_OUTSIDE])
+def test_state_table_matches_exact_compile_on_hand_built_sets(text):
+    _assert_table_matches_exact(parse_ruleset(text))
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if state_table(catalog.builtin(n).ruleset) is not None])
+def test_table_walk_matches_walk(name):
+    entry = catalog.builtin(name)
+    rs, table = entry.ruleset, state_table(entry.ruleset)
+    origin = rs.unit_rule.base.lo
+    for depth in (0,) + _depths(entry):
+        pitch = coord(table.p1 * Fraction(table.k) ** (1 - depth))
+        exact = list(walk(rs, depth, scan=True))
+        fast = list(table_walk(rs, depth))
+        assert len(fast) == len(exact)
+        for (address, state, corner, lo, length), want in zip(fast, exact):
+            address_w, rule_name, transform, rev, lo_w, length_w = want
+            assert (address, lo, length) == (address_w, lo_w, length_w)
+            assert table.states[state] == (rule_name, transform.ortho, rev)
+            box = rs.rules[rule_name].base.transform(transform)
+            assert box.lo == tuple(o + pitch * c for o, c in zip(origin, corner))
+            assert box.extent() == tuple(pitch * e for e in table.extent[state].tolist())
+
+
+# -- integer covers against the exact path --------------------------------------
+
+COVER_SETS = ["hilbert", "peano", "kochel", "dekking", "zorder", "coil", "ar2w2", "daun",
+              "zorder3d", "coil3d", "lifted-daun"]
+
+# a unit box away from the origin, children turned, reflected and reversed
+OFF_ORIGIN = """
+unit A
+rule A
+base box 1 -1 3 1
+child rule=A scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,-1/2)
+child rule=A scale=1/2 rot=90 reflect=0 reversed=1 translate=(3/2,-1/2)
+child rule=A scale=1/2 rot=180 reflect=0 reversed=1 translate=(7/2,1/2)
+child rule=A scale=1/2 rot=0 reflect=1 reversed=0 translate=(3/2,-1/2)
+"""
+
+
+def _seeded_queries(rs, kappa, seed, levels=(0, 1, 2, 3)):
+    """Seeded balls and boxes whose canonical level runs through `levels`,
+    each inside the unit box, with the merge budgets the benchmark uses."""
+    rng = np.random.default_rng(seed)
+    base = rs.unit_rule.base
+    lam = float(subdivision_ratio(rs))
+    worst = (2 * float(kappa) * lam) ** rs.dim / QueryRange("ball", (0,) * rs.dim, 1).measure()
+    out = []
+    for level in levels:
+        for kind in ("ball", "ball", "box", "box"):
+            r = window_radii(rs, level, kappa, 5)[int(rng.integers(5))].as_fraction()
+            half = [r] + [r * Fraction(int(rng.integers(500, 1001)), 1000)
+                          for _ in range(rs.dim - 1)]
+            half = [half[i] for i in rng.permutation(rs.dim)]
+            if kind == "ball":
+                half = [r] * rs.dim
+            center = tuple(l.as_fraction() + h + (u - l - 2 * h).as_fraction()
+                           * Fraction(int(rng.integers(0, 10 ** 6)), 10 ** 6)
+                           for l, u, h in zip(base.lo, base.hi, half))
+            q = (QueryRange("ball", center, r) if kind == "ball"
+                 else QueryRange("box", center, half_extents=half))
+            out.append((q, None))
+            out.append((q, worst * float(rng.choice([0.5, 1.0, 2.0]))))
+    return out
+
+
+def _outcomes(rs, queries, kappa):
+    """cover_tiles and cover_fragments of each query, as comparable values."""
+    out = []
+    for q, merge_budget in queries:
+        for rep in (cover_tiles(rs, q, kappa=kappa),
+                    cover_fragments(rs, q, kappa=kappa, merge_budget=merge_budget)):
+            out.append((rep.level, rep.tiles, rep.intervals, rep.fragments, rep.total_area))
+    return out
+
+
+def _assert_covers_match_exact(monkeypatch, rs, queries, kappa):
+    fast = _outcomes(rs, queries, kappa)
+    with monkeypatch.context() as m:
+        m.setattr(cover, "state_table", lambda rs: None)     # the exact walk only
+        exact = _outcomes(rs, queries, kappa)
+    assert fast == exact
+    return fast
+
+
+@pytest.mark.parametrize("name", COVER_SETS)
+def test_integer_covers_match_exact_path(monkeypatch, name):
+    entry = catalog.builtin(name)
+    rs, kappa = entry.ruleset, entry.window_kappa
+    assert state_table(rs) is not None
+    queries = _seeded_queries(rs, kappa, seed=len(name))
+    outcomes = _assert_covers_match_exact(monkeypatch, rs, queries, kappa)
+    levels = [o[0] for o in outcomes]
+    assert {0, 3} <= set(levels)
+    # some merge budget joins runs across a gap
+    assert any(len(a[3]) > len(b[3]) for a, b in zip(outcomes[1::4], outcomes[3::4]))
+
+
+@pytest.mark.parametrize("name", ["daun", "kochel"])
+@pytest.mark.parametrize("rot", [0, 3, 6, 9])
+@pytest.mark.parametrize("reflect", [False, True])
+def test_integer_covers_match_exact_path_under_square_symmetries(monkeypatch, name, rot,
+                                                                  reflect):
+    entry = catalog.builtin(name)
+    rs = _conjugate(entry.ruleset, Ortho(2, rot, reflect))
+    queries = _seeded_queries(rs, entry.window_kappa, seed=rot + reflect, levels=(0, 1, 2))
+    _assert_covers_match_exact(monkeypatch, rs, queries, entry.window_kappa)
+
+
+def test_integer_covers_match_exact_path_off_the_origin(monkeypatch):
+    rs = parse_ruleset(OFF_ORIGIN)
+    assert validate_ruleset(rs).valid
+    assert state_table(rs) is not None and rs.unit_rule.base.lo == (1, -1)
+    _assert_covers_match_exact(monkeypatch, rs, _seeded_queries(rs, Fraction(2), 7),
+                               Fraction(2))
+
+
+def _filtered_expansion(rs, q, level):
+    """The tiles of the whole level-`level` expansion that meet q, in
+    scanning order: the cover's definition, read off directly."""
+    hits = [t for t in expand(rs, level) if q.intersects_box(t.geometry)]
+    hits.sort(key=lambda t: tile_interval(rs, t.address).lo)
+    return [t.address for t in hits]
+
+
+def test_irrational_query_takes_exact_path(monkeypatch, hilbert):
+    # (1 + sqrt(3))/4 is no multiple of any lattice pitch
+    for q in (QueryRange("ball", (Coord(1, 1, 4), Fraction(1, 3)), Fraction(1, 20)),
+              QueryRange("ball", (Fraction(1, 3), Fraction(1, 3)), Coord(0, 1, 40)),
+              QueryRange("box", (Coord(1, 1, 4), Fraction(1, 2)),
+                         half_extents=(Fraction(1, 30), Fraction(1, 20)))):
+        level = canonical_level(hilbert, max(q.bounding_halfwidths()))
+        assert _table_misses(hilbert, state_table(hilbert), q, level) is None
+        outcomes = _assert_covers_match_exact(monkeypatch, hilbert, [(q, None)], Fraction(2))
+        assert outcomes[0][1] == _filtered_expansion(hilbert, q, level)
+
+
+@pytest.mark.parametrize("text", [OFF_LATTICE, BELOW_LEVEL_ONE, CHILD_OUTSIDE])
+def test_hand_built_sets_cover_their_filtered_expansion(text):
+    rs = parse_ruleset(text)
+    for center, r in (((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 9)),
+                      ((Fraction(2, 7), Fraction(3, 5)), Fraction(1, 40))):
+        q = QueryRange("ball", center, r)
+        for level in (1, 2):
+            assert cover_tiles(rs, q, level=level).tiles == _filtered_expansion(rs, q, level)
+
+
+def _nodes_visited(rs, q, level):
+    """How many nodes the exact cover descent tests."""
+    misses, visited = _exact_misses(rs, q), []
+
+    def counted(*node):
+        visited.append(node[0])
+        return misses(*node)
+
+    list(walk(rs, level, prune=counted, scan=True))
+    return len(visited)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "dekking", "coil3d"])
+def test_budget_error_at_the_same_budget_on_both_paths(monkeypatch, name):
+    entry = catalog.builtin(name)
+    rs = entry.ruleset
+    q = QueryRange("ball", (Fraction(1, 2),) * rs.dim, window_radii(rs, 2, entry.window_kappa, 1)[0])
+    level = canonical_level(rs, q.radius, entry.window_kappa)
+    n = _nodes_visited(rs, q, level)
+    for table in (state_table(rs), None):
+        with monkeypatch.context() as m:
+            m.setattr(cover, "state_table", lambda rs, table=table: table)
+            assert cover_tiles(rs, q, kappa=entry.window_kappa, budget=n).tile_count > 0
+            with pytest.raises(BudgetError) as err:
+                cover_tiles(rs, q, kappa=entry.window_kappa, budget=n - 1)
+        assert "visited %d nodes against a budget of %d" % (n, n - 1) in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "coil3d"])
+def test_touching_counts_on_both_paths(monkeypatch, name):
+    # closed-closed: a ball at distance exactly r from a tile, or a box whose
+    # face lies on a tile's face, meets that tile
+    rs = catalog.builtin(name).ruleset
+    r, half = Fraction(1, 10), Fraction(1, 2)
+    # 3-4-5 and 1-2-2-3 make the distance to the vertex (1/2, ...) exactly r
+    steps = (Fraction(3, 5), Fraction(4, 5)) if rs.dim == 2 else (Fraction(1, 3), Fraction(2, 3),
+                                                                  Fraction(2, 3))
+    queries = [QueryRange("ball", tuple(half - r * s for s in steps), r),
+               QueryRange("ball", (half - r,) + (Fraction(3, 8),) * (rs.dim - 1), r),
+               QueryRange("box", (half - r,) + (Fraction(3, 8),) * (rs.dim - 1),
+                          half_extents=(r,) + (r / 2,) * (rs.dim - 1))]
+    outcomes = _assert_covers_match_exact(monkeypatch, rs, [(q, None) for q in queries],
+                                          Fraction(2))
+    for q, outcome in zip(queries, outcomes[::2]):
+        touched = [t for t in expand(rs, outcome[0])
+                   if t.geometry.lo[0] == half and q.intersects_box(t.geometry)]
+        assert touched and outcome[1] == _filtered_expansion(rs, q, outcome[0])
