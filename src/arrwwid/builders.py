@@ -58,23 +58,3 @@ def grid_curve(name, n, cells, transforms, reversed_flags=None, rules_used=None,
             children.append(Child(child_rule, place_in_cell(base, scale, ortho, cell_lo), rev))
         rules[rname] = Rule(rname, base, children)
     return RuleSet(rules, name, name=name)
-
-
-def rect_grid_tiling(name, unit_w, unit_h, placements, scale, piece_w, piece_h):
-    """Uniform rectangular tiling rule from integer-grid piece placements.
-
-    The unit is [0,unit_w] x [0,unit_h]; placements are (x, y, upright, ortho)
-    with x, y the lattice min corner of a piece of size piece_w x piece_h
-    (upright) or piece_h x piece_w (rotated); ortho maps the unit rectangle
-    onto the piece's orientation.
-    """
-    base = Box((ZERO, ZERO), (coord(unit_w), coord(unit_h)))
-    children = []
-    for x, y, upright, ortho in placements:
-        children.append(Child(name, place_in_cell(base, scale, ortho, (Fraction(x), Fraction(y)))))
-        expected = (Fraction(piece_w), Fraction(piece_h)) if upright else (Fraction(piece_h), Fraction(piece_w))
-        geom = base.transform(children[-1].placement)
-        got = tuple((h - l).as_fraction() for l, h in zip(geom.lo, geom.hi))
-        if got != expected:
-            raise ValueError("placement at (%s,%s): ortho does not match orientation" % (x, y))
-    return RuleSet({name: Rule(name, base, children)}, name, name=name)

@@ -12,23 +12,25 @@ re-verified against an actual expansion before being reported.
 
 One integer engine runs the closure: a `Layout` holds one tile type's child
 boxes on an integer lattice and `closure` refines configurations over a table
-of child types.  `certify_max_degree` feeds it the layouts of a rule set; the
-rectangle search feeds it the layouts of one packing under many transform
-assignments.
+of child types.  `certify_max_degree` feeds it the layouts of a rule set,
+oriented from the integer rows of `expand.type_boxes` as the state table's
+are; the rectangle search feeds it the layouts of one packing under many
+transform assignments.
 
-Supports 2D rule sets with box bases, axis-aligned child placements and one
-common child scale.
+Supports 2D rule sets with box bases, axis-aligned child placements, one
+common child scale whose inverse is an integer, and rational coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+import numpy as np
 
 from .exact import coord
 from .transforms import Similarity
 from .rules import RuleError
-from .expand import tile_at, walk
+from .expand import integer_inverse_scale, tile_at, type_boxes, walk
 
 
 class UnsupportedShapeError(RuleError):
@@ -42,8 +44,7 @@ class DegreeCertificate:
     counterexamples, `vertex` is an exact point, `degree` the measured number
     of tiles meeting there and `depth` an expansion depth exhibiting it.
     `configurations` holds the closure's configurations, with offsets as
-    integers on the layout lattice (Fractions only when the inverse child
-    scale is not an integer).
+    integers on the layout lattice.
     """
 
     def __init__(self, bound, status, configurations=None, vertex=None,
@@ -230,34 +231,27 @@ def _require_supported(rs):
     scales = {ch.placement.scale for r in rs.rules.values() for ch in r.children}
     if len(scales) != 1:
         raise UnsupportedShapeError("degree certification needs one common child scale")
+    if integer_inverse_scale(rs) is None:
+        raise UnsupportedShapeError("degree certification needs an integer inverse child scale")
+    coords = [v for r in rs.rules.values() for v in r.base.lo + r.base.hi]
+    coords += [t for r in rs.rules.values() for ch in r.children for t in ch.placement.trans]
+    if not all(v.is_rational for v in coords):
+        raise UnsupportedShapeError("degree certification needs rational coordinates")
 
 
 def _ruleset_layouts(rs):
     """Layouts, child types and anchor addresses of the reachable (rule, ortho)
     types, on the lattice of step 1/den; returns (layouts, kids, anchors, den)."""
-    k = 1 / rs.child_scale().as_fraction()
-    k = k.numerator if k.denominator == 1 else k
-    frames, kids, anchors = {}, {}, {}
-    for (rule_name, ortho), addr in rs.reachable_types().items():
-        rule = rs.rules[rule_name]
-        sim_o = Similarity(1, ortho, (0, 0))
-        img = rule.base.transform(sim_o)
-        x, y = img.lo
-        boxes = []
-        for ch in rule.children:
-            g = rs.rules[ch.rule].base.transform(sim_o.compose(ch.placement))
-            boxes.append(tuple((c - s).as_fraction() for c, s in
-                               zip(g.lo + g.hi, (x, y, x, y))))
+    k = integer_inverse_scale(rs)
+    types = rs.reachable_types()
+    den, rows = type_boxes(rs, types, k)
+    layouts, kids, anchors = {}, {}, {}
+    for (rule_name, ortho), (lo, hi, ext) in rows.items():
         key = (rule_name, ortho.key())
-        frames[key] = ([e.as_fraction() for e in img.extent()], boxes)
+        layouts[key] = Layout(*ext.tolist(), map(tuple, np.hstack([lo, hi]).tolist()), k)
         kids[key] = tuple((ch.rule, ortho.compose(ch.placement.ortho).key())
-                          for ch in rule.children)
-        anchors[key] = addr
-    den = lcm(*(v.denominator for (w, h), boxes in frames.values()
-                for v in (w, h, *(c for b in boxes for c in b))))
-    layouts = {key: Layout(int(w * den), int(h * den),
-                           [tuple(int(c * den) for c in b) for b in boxes], k)
-               for key, ((w, h), boxes) in frames.items()}
+                          for ch in rs.rules[rule_name].children)
+        anchors[key] = types[rule_name, ortho]
     return layouts, kids, anchors, den
 
 

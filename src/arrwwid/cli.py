@@ -34,11 +34,10 @@ def _num(x):
     return x
 
 
-def _emit(args, payload, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, default=_json_default)
-    else:
-        text = payload
+def _emit(args, payload):
+    """Write JSON, or a CSV or SVG text as it is, to --out or stdout."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2,
+                                                                default=_json_default)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text if text.endswith("\n") else text + "\n")
@@ -94,7 +93,6 @@ def main(argv=None):
     def add(name, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default="json", choices=["json", "csv", "svg"])
         return p
 
     p = add("catalog", help="list built-in rule sets")
@@ -161,6 +159,7 @@ def main(argv=None):
                    help="expansion depth for every order (default: per-order automatic)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratios", default="1,10,100,1000,10000")
+    p.add_argument("--format", default="json", choices=["json", "csv"])
 
     p = add("render", help="SVG rendering")
     p.add_argument("--tiling", default=None)
@@ -170,6 +169,7 @@ def main(argv=None):
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--sketch", action="store_true")
     p.add_argument("--size", type=int, default=640)
+    p.add_argument("--format", default="svg", choices=["svg"])
 
     p = add("predict", help="closed-form worst-case cover sizes per family")
     p.add_argument("--family", required=True)
@@ -298,7 +298,7 @@ def _dispatch(args):
             for cell in sorted(ll.cells):
                 lines.append("%s,%s" % (" ".join(map(str, cell)),
                                         " ".join(map(str, ll.cells[cell]))))
-            _emit(args, "\n".join(lines), fmt="csv")
+            _emit(args, "\n".join(lines))
             return 0
         counts = ll.label_counts()
         payload = {"spec": spec.name, "levels": ll.level,
@@ -349,7 +349,7 @@ def _dispatch(args):
             lines = [",".join(cols)]
             for row in rows:
                 lines.append(",".join(str(_num(row[c])) for c in cols))
-            _emit(args, "\n".join(lines), fmt="csv")
+            _emit(args, "\n".join(lines))
         else:
             _emit(args, rows)
         return 0
@@ -362,7 +362,7 @@ def _dispatch(args):
         else:
             rs = _load(args)
             svg = render_svg(rs, style, depth=args.depth)
-        _emit(args, svg, fmt="svg")
+        _emit(args, svg)
         return 0
 
     if cmd == "predict":

@@ -18,8 +18,8 @@ import numpy as np
 from .exact import ZERO, ONE, coord
 from .shapes import Box
 from .rules import RuleError
-from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, lattice_pitch, prefix_table,
-                     scan_raster, state_table, table_walk, walk, _vertex_stats_grid)
+from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, prefix_table, scan_raster,
+                     state_table, table_walk, walk, _vertex_stats_grid)
 from .curves import Interval
 
 
@@ -431,7 +431,7 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
             max_frag = frag_count
             frag_w = Witness(center, radius, level, frag_count)
 
-    grid_ok = lattice_pitch(rs, 1) is not None
+    grid_ok = state_table(rs) is not None
     for depth in plan.depths:
         # the first of two evenly spaced window radii
         r = window_radii(rs, depth, kappa, 2)[0]

@@ -293,13 +293,9 @@ def state_table(rs):
 
 
 def _compile_states(rs):
-    if not (rs.is_rectilinear() and rs.is_uniform()):
+    k = integer_inverse_scale(rs) if rs.is_rectilinear() and rs.is_uniform() else None
+    if k is None:
         return None
-    scale = rs.child_scale()
-    k = 1 / scale.as_fraction() if scale.is_rational else None
-    if k is None or k.denominator != 1:
-        return None
-    k, rules = k.numerator, rs.rules
     # states in discovery order; a (rule, ortho) type lists its children's
     # types once, for both of its reversal flags
     states = [(rs.unit, Ortho.identity(rs.dim), False)]
@@ -309,7 +305,7 @@ def _compile_states(rs):
         row = types.get((rule_name, ortho))
         if row is None:
             row = types[rule_name, ortho] = [(ch.rule, ortho.compose(ch.placement.ortho),
-                                              ch.reversed) for ch in rules[rule_name].children]
+                                              ch.reversed) for ch in rs.rules[rule_name].children]
         kid_row = []
         for name, o, flip in reversed(row) if rev else row:
             state = (name, o, rev ^ flip)
@@ -318,28 +314,54 @@ def _compile_states(rs):
                 states.append(state)
             kid_row.append(index[state])
         kids.append(kid_row)
-    unit, boxes = _rule_boxes(rs, dict.fromkeys(name for name, _, _ in states), k)
-    # each type's child offsets and extent: the min corner of M(box), for a
-    # signed permutation M = pos + neg, is pos lo + neg hi
-    rows = {}
-    for rule_name, ortho in types:
-        ext, lo, hi = boxes[rule_name]
-        pos, neg = _ortho_parts(ortho)
-        rows[rule_name, ortho] = (lo @ pos.T + hi @ neg.T - (k * ext @ neg.T)[:, None],
-                                  ext @ (pos - neg).T)
-    offs = np.array([rows[r, o][0][:, ::-1] if rev else rows[r, o][0] for r, o, rev in states])
-    extent = np.array([rows[r, o][1] for r, o, _ in states])
-    if offs[:, 1].any() or extent[:, 1].any():
+    boxes = type_boxes(rs, types, k)
+    if boxes is None:
         return None                      # a sqrt(3) part left over: irrational
-    offs, extent = offs[:, 0], extent[:, 0]
-    # the coarsest lattice holding every offset and extent
-    g = int(np.gcd.reduce(np.concatenate([offs.ravel(), extent.ravel(), [k * unit]])))
-    offs, extent = offs // g, extent // g
+    den, rows = boxes
+    # reversed states reuse their type's row backwards
+    offs = np.array([rows[r, o][0][::-1] if rev else rows[r, o][0] for r, o, rev in states])
+    extent = np.array([rows[r, o][2] // k for r, o, _ in states])
     kids = np.array(kids, dtype=np.int32)
     # the raster's cell numbering needs every child inside its parent
     if not ((offs >= 0) & (offs + extent[kids] <= k * extent[:, None])).all():
         return None
-    return StateTable(states, kids, offs, extent, k, Fraction(g, k * unit))
+    return StateTable(states, kids, offs, extent, k, Fraction(1, den))
+
+
+def integer_inverse_scale(rs):
+    """1/scale of the rule set's one child scale as an int, or None."""
+    k = 1 / rs.child_scale()
+    return int(k.as_fraction()) if k.is_rational and k.as_fraction().denominator == 1 else None
+
+
+def type_boxes(rs, types, k):
+    """`orient_boxes` on the rule set's own boxes, or None (sqrt(3) parts)."""
+    boxes = _rule_boxes(rs, dict.fromkeys(name for name, _ in types), k)
+    return boxes and orient_boxes(boxes[1], types, k, boxes[0])
+
+
+def orient_boxes(boxes, types, k, unit=1):
+    """Each (rule, ortho) type's child boxes under its axis-aligned ortho.
+
+    boxes[rule] is (ext, lo, hi) in `_rule_boxes`' units of 1/(k unit).
+    Returns (den, rows): rows[type] is the children's min and max corners
+    (n, d) and the type's extent (d,), from the type's min corner, in the
+    coarsest cells of side 1/den that hold every value, the unit and each
+    extent scaled by 1/k (so an extent // k is the type one level down).
+    """
+    rows = {}
+    for name, ortho in types:
+        ext, lo, hi = boxes[name]
+        pos, neg = _ortho_parts(ortho)
+        # for a signed permutation M = pos + neg, the min corner of M(box) is
+        # pos lo + neg hi, and the type's image has min corner neg (k ext)
+        shift = k * ext @ neg.T
+        rows[name, ortho] = (lo @ pos.T + hi @ neg.T - shift, hi @ pos.T + lo @ neg.T - shift,
+                             k * ext @ (pos - neg).T)
+    values = [v.ravel() for row in rows.values() for v in row]
+    values += [boxes[name][0] for name in dict.fromkeys(name for name, _ in types)]
+    g = int(np.gcd.reduce(np.concatenate(values + [[k * unit]])))
+    return k * unit // g, {t: tuple(v // g for v in row) for t, row in rows.items()}
 
 
 def _rule_boxes(rs, names, k):
@@ -347,9 +369,8 @@ def _rule_boxes(rs, names, k):
     own frame relative to its base's min corner, on one integer lattice.
 
     Returns (den, {rule: (ext, lo, hi)}): integer arrays in units of
-    1/(k den), with a leading axis of size 2 for the rational and the sqrt(3)
-    part of each value; ext (2, d) is the base's extent scaled by 1/k, lo
-    and hi (2, n, d) the children's corners.
+    1/(k den); ext (d,) is the base's extent scaled by 1/k, lo and hi (n, d)
+    the children's corners.  Returns None when a value has a sqrt(3) part.
     """
     rules = rs.rules
     coords = [v for n in names for v in rules[n].base.lo + rules[n].base.hi]
@@ -375,7 +396,9 @@ def _rule_boxes(rs, names, k):
         lo = np.einsum("nab,pnb->pna", pos, c_lo) + np.einsum("nab,pnb->pna", neg, c_hi)
         hi = np.einsum("nab,pnb->pna", pos, c_hi) + np.einsum("nab,pnb->pna", neg, c_lo)
         boxes[n] = (base[n][1] - base[n][0], lo + shift, hi + shift)
-    return den, boxes
+    if any(part[1].any() for box in boxes.values() for part in box):
+        return None
+    return den, {n: tuple(part[0] for part in box) for n, box in boxes.items()}
 
 
 def _ortho_parts(ortho):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .cover import cover_fragments, QueryRange
 from .exact import coord
-from .expand import (BudgetError, DEFAULT_TILE_BUDGET, count_tiles, lattice_pitch,
-                     prefix_table, scan_raster, walk)
+from .expand import (BudgetError, DEFAULT_TILE_BUDGET, count_tiles, prefix_table,
+                     scan_raster, state_table, walk)
 from .rules import RuleError
 from .shapes import Box
 
@@ -86,7 +86,7 @@ def point_indices(rs, points, depth):
     on the unit tile's upper faces; lattice rule sets read the owner off the
     scan raster, others descend the rule tree.
     """
-    if lattice_pitch(rs, 1) is not None:
+    if state_table(rs) is not None:
         ids, pitch = scan_raster(rs, depth)
         p = float(pitch)
         lo = [float(v) for v in rs.unit_rule.base.lo]

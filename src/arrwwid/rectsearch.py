@@ -8,18 +8,23 @@ Packings are enumerated by exact backtracking on the cut lattice (all cuts
 are multiples of 1/(q*sqrt(t)) of the unit height); per-tile transform
 assignments are searched with local corner-compatibility pruning, read off
 integer layouts of the packing, and each survivor goes through the closure
-engine of `certify`.  The packing's 8 per-ortho layouts are built once and
-shared by all its assignments; every accepted assignment is certified again
-from its rule set.
+engine of `certify`.  The packing's 8 per-ortho layouts are built once, by the
+orientation `certify` uses too (`expand.orient_boxes`), and shared by all its
+assignments.  Every accepted assignment is certified again from its rule
+set's own placements, with any counterexample replayed on an exact expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import inf, isqrt
+
+import numpy as np
 
 from .builders import ORTHO2, place_in_cell
 from .exact import ZERO, coord
+from .expand import orient_boxes
 from .shapes import Box
 from .rules import Rule, RuleSet, Child
 from .certify import Layout, certify_max_degree, closure
@@ -92,24 +97,16 @@ class Packing:
     def canonical_key(self):
         return min(self.symmetry_images())
 
-    def interior_vertices(self):
-        """Map interior lattice vertex -> list of pieces whose closure meets it."""
-        W, H = self.grid
-        verts = {}
-        for i, (x, y, w, h) in enumerate(self.pieces):
-            for vx in (x, x + w):
-                for vy in (y, y + h):
-                    if 0 < vx < W and 0 < vy < H:
-                        verts.setdefault((vx, vy), None)
-        out = {}
-        for v in verts:
-            out[v] = [i for i, (x, y, w, h) in enumerate(self.pieces)
-                      if x <= v[0] <= x + w and y <= v[1] <= y + h]
-        return out
-
     def max_vertex_degree(self):
-        iv = self.interior_vertices()
-        return max((len(t) for t in iv.values()), default=0)
+        """Most pieces whose closed boxes hold one interior lattice vertex, read
+        off the identity-ortho layout."""
+        lay = Layout(*self.grid, [(x, y, x + w, y + h) for x, y, w, h in self.pieces], 1)
+        return max((len(inc) for _, inc in lay.corners), default=0)
+
+    @cached_property
+    def layouts(self):
+        """The packing's closure Layout under each ortho, built on first use."""
+        return _ortho_layouts(self)
 
 
 def enumerate_packings(t, alpha, budget=10 ** 6):
@@ -187,26 +184,21 @@ def packing_ruleset(packing, orthos, name="rect"):
 #
 # Pieces and layouts live on the integer cut lattice.  Each ortho gives the
 # packing one integer Layout (its child boxes in lattice units, min corner 0);
-# a piece of the packing is that layout shrunk by k = sqrt(t), so its
-# level-2 corners are integers in 1/k lattice units.
+# a piece of the packing is that layout shrunk by k = sqrt(t), so its level-2
+# corners are integers in 1/k lattice units.
 
 def _ortho_layouts(packing):
     """The packing's closure Layout under each of the 8 orthos of ORTHO2."""
-    W, H = packing.grid
     k = isqrt(packing.t)
+    pieces = np.array(packing.pieces)
+    lo, hi = pieces[:, :2], pieces[:, :2] + pieces[:, 2:]
+    # the grid scaled by 1/k is (p, q), coprime, so the rows keep lattice units
+    _, rows = orient_boxes({None: (np.array(packing.grid) // k, lo, hi)},
+                           [(None, o) for o in ORTHO2.values()], k)
     layouts = {}
     for name, o in ORTHO2.items():
-        def img(x, y):
-            return tuple(int(c.as_fraction()) for c in o.apply((coord(x), coord(y))))
-        def box(x0, y0, x1, y1):
-            (ax, ay), (bx, by) = img(x0, y0), img(x1, y1)
-            return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
-        minx, miny, maxx, maxy = box(0, 0, W, H)
-        boxes = []
-        for x, y, w, h in packing.pieces:
-            x0, y0, x1, y1 = box(x, y, x + w, y + h)
-            boxes.append((x0 - minx, y0 - miny, x1 - minx, y1 - miny))
-        layouts[name] = Layout(maxx - minx, maxy - miny, boxes, k)
+        lo, hi, ext = rows[None, o]
+        layouts[name] = Layout(*ext.tolist(), map(tuple, np.hstack([lo, hi]).tolist()), k)
     return layouts
 
 
@@ -224,15 +216,16 @@ def _edge_cuts(lay, piece):
 
 def _assignment_candidates(packing, cuts):
     """Per-piece ortho values filtered by the T-junction (unary) constraint."""
-    iv = packing.interior_vertices()
+    corners = packing.layouts["id"].corners
     p = packing.alpha.numerator
     q = packing.alpha.denominator
     k = isqrt(packing.t)
     cand = []
     for i, piece in enumerate(packing.pieces):
         x, y, w, h = piece
-        stems = [(k * vx, k * vy) for (vx, vy), tiles in iv.items()
-                 if i in tiles and not (vx in (x, x + w) and vy in (y, y + h))]
+        stems = [(k * vx, k * vy) for (vx, vy), inc in corners
+                 if any(j == i for j, _, _ in inc)
+                 and not (vx in (x, x + w) and vy in (y, y + h))]
         cand.append([o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
                      if not any(sv in cuts[i][o] for sv in stems)])
     return cand
@@ -287,8 +280,7 @@ def _strictly_inside(pt, seg):
 
 def assignment_solutions(packing, cap=50000):
     """Transform assignments surviving the local pruning, up to `cap`."""
-    layouts = _ortho_layouts(packing)
-    cuts = [{o: _edge_cuts(lay, piece) for o, lay in layouts.items()}
+    cuts = [{o: _edge_cuts(lay, piece) for o, lay in packing.layouts.items()}
             for piece in packing.pieces]
     cand = _assignment_candidates(packing, cuts)
     if any(not c for c in cand):
@@ -328,14 +320,16 @@ def assignment_solutions(packing, cap=50000):
 #
 # The packing's 8 ortho layouts and the ortho compose table are built once;
 # each assignment only adds its type table (the child orthos of every ortho
-# reachable from "id").  Accepted candidates are re-certified on the rule-set
-# layouts of `packing_ruleset`, which cross-checks the two layout builds.
+# reachable from "id").  Accepted candidates are re-certified from the child
+# placements of `packing_ruleset`: its boxes come from the placements and its
+# type table from composing the placements' orthos, not from the pieces and
+# the compose table used here.
 
 class _PackingClosure:
     """certify_max_degree's closure, on one packing's integer cut lattice."""
 
     def __init__(self, packing):
-        self.layouts = _ortho_layouts(packing)
+        self.layouts = packing.layouts
         by_key = {o.key(): n for n, o in ORTHO2.items()}
         self.comp = {(a, b): by_key[ORTHO2[a].compose(ORTHO2[b]).key()]
                      for a in ORTHO2 for b in ORTHO2}
@@ -404,7 +398,7 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                     if not lattice.certified(orthos):
                         entry["refuted"] += 1
                         continue
-                    # re-certify every acceptance on the rule-set layouts
+                    # re-certify every acceptance from its rule set
                     rs = packing_ruleset(pk, orthos)
                     cert = certify_max_degree(rs, 3, budget=certify_budget)
                     if cert.certified:
@@ -412,7 +406,7 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                         report.accepted.append((t, alpha, pk, list(orthos), cert))
                     elif cert.status == "counterexample":
                         raise AssertionError(
-                            "packing-lattice and rule-set layouts disagree on %r"
+                            "packing closure and rule-set certificate disagree on %r"
                             % (orthos,))
                     else:
                         entry["inconclusive"] += 1

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from arrwwid import catalog
 from arrwwid.certify import certify_max_degree, UnsupportedShapeError
 from arrwwid.expand import expand, vertex_degrees, max_interior_degree_fast
-from arrwwid.rules import parse_ruleset
+from arrwwid.rules import Child, Rule, RuleSet, parse_ruleset, validate_ruleset
+from arrwwid.transforms import Ortho, Similarity
 
 
 def test_daun_certified(daun):
@@ -73,6 +75,53 @@ child rule=R scale=1/4 rot=0 reflect=0 reversed=0 translate=(3/4,3/4)
 """)
     with pytest.raises(UnsupportedShapeError):
         certify_max_degree(rs, 3)
+
+
+def _rejected_before_closure(text, tmp_path, monkeypatch, capsys):
+    """certify_max_degree raises UnsupportedShapeError without running the
+    closure, and the CLI exits 2 on the same rule file."""
+    import arrwwid.certify
+    from arrwwid.cli import main
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("the closure ran on an unsupported rule set")
+
+    monkeypatch.setattr(arrwwid.certify, "closure", no_closure)
+    rs = parse_ruleset(text)
+    with pytest.raises(UnsupportedShapeError) as exc:
+        certify_max_degree(rs, 3)
+    path = tmp_path / "unsupported.rules"
+    path.write_text(text)
+    assert main(["certify", "--tiling", str(path), "--bound", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(exc.value) in captured.err
+
+
+def test_non_integer_inverse_scale_unsupported(tmp_path, monkeypatch, capsys):
+    # 1/s = 3/2: a valid tiling has an integer 1/s, the Perron eigenvalue of
+    # its integer child-count matrix, so this set only overlaps itself
+    _rejected_before_closure("""
+unit A
+rule A
+base box 0 0 1 1
+child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=A scale=2/3 rot=0 reflect=0 reversed=0 translate=(1/3,1/3)
+""", tmp_path, monkeypatch, capsys)
+
+
+def test_sqrt3_coordinates_unsupported(tmp_path, monkeypatch, capsys):
+    # a valid tiling: the 2 sqrt(3) x 1 rectangle cut into four halves
+    text = """
+unit R
+rule R
+base box 0 0 (0+2rt3)/1 1
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(rt3,0)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(rt3,1/2)
+"""
+    assert validate_ruleset(parse_ruleset(text)).valid
+    _rejected_before_closure(text, tmp_path, monkeypatch, capsys)
 
 
 # (status, steps, len(configurations), vertex, degree, depth): the closure's
@@ -180,3 +229,66 @@ def test_pinned_uniform_assignment_certificates():
                       for _, _, w, h in pk.pieces]
             got.append((i, m) + _pinned_row(certify_max_degree(packing_ruleset(pk, orthos), 3)))
     assert got == _PINNED_UNIFORM
+
+
+# -- the rule-set layouts against the exact frame build ------------------------
+
+def _exact_ruleset_layouts(rs):
+    """The slow path: every type's child boxes transformed exactly by the
+    type's ortho frame, moved to its min corner and put on the lattice of the
+    lcm of their denominators."""
+    from math import lcm
+    from arrwwid.certify import Layout
+    k = 1 / rs.child_scale().as_fraction()
+    k = k.numerator if k.denominator == 1 else k
+    frames, kids, anchors = {}, {}, {}
+    for (rule_name, ortho), addr in rs.reachable_types().items():
+        rule = rs.rules[rule_name]
+        sim_o = Similarity(1, ortho, (0, 0))
+        img = rule.base.transform(sim_o)
+        x, y = img.lo
+        boxes = []
+        for ch in rule.children:
+            g = rs.rules[ch.rule].base.transform(sim_o.compose(ch.placement))
+            boxes.append(tuple((c - s).as_fraction() for c, s in
+                               zip(g.lo + g.hi, (x, y, x, y))))
+        key = (rule_name, ortho.key())
+        frames[key] = ([e.as_fraction() for e in img.extent()], boxes)
+        kids[key] = tuple((ch.rule, ortho.compose(ch.placement.ortho).key())
+                          for ch in rule.children)
+        anchors[key] = addr
+    den = lcm(*(v.denominator for (w, h), boxes in frames.values()
+                for v in (w, h, *(c for b in boxes for c in b))))
+    layouts = {key: Layout(int(w * den), int(h * den),
+                           [tuple(int(c * den) for c in b) for b in boxes], k)
+               for key, ((w, h), boxes) in frames.items()}
+    return layouts, kids, anchors, den
+
+
+def _conjugate(rs, ortho):
+    """The rule set seen through the linear map `ortho`."""
+    g = Similarity(1, ortho, (0,) * rs.dim)
+    g_inv = g.inverse()
+    rules = {name: Rule(name, rule.base.transform(g),
+                        [Child(ch.rule, g.compose(ch.placement).compose(g_inv), ch.reversed)
+                         for ch in rule.children])
+             for name, rule in rs.rules.items()}
+    return RuleSet(rules, rs.unit, rs.name)
+
+
+def _layout_fields(layouts):
+    return [(key, lay.w, lay.h, lay.boxes, lay.k) for key, lay in layouts.items()]
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names() if catalog.builtin(n).dim == 2])
+def test_ruleset_layouts_match_exact_frames_under_square_symmetries(name):
+    from arrwwid.certify import _ruleset_layouts
+    for rot in (0, 3, 6, 9):
+        for reflect in (False, True):
+            rs = _conjugate(catalog.builtin(name).ruleset, Ortho(2, rot, reflect))
+            layouts, kids, anchors, den = _ruleset_layouts(rs)
+            want_layouts, want_kids, want_anchors, want_den = _exact_ruleset_layouts(rs)
+            assert _layout_fields(layouts) == _layout_fields(want_layouts), (rot, reflect)
+            assert list(kids.items()) == list(want_kids.items())
+            assert list(anchors.items()) == list(want_anchors.items())
+            assert den == want_den

@@ -166,3 +166,16 @@ def test_cover_cmd_readme_example(capsys, extra, fragments, ratio):
     want = {"level": 1, "tiles": 4, "fragments": fragments, "cover_ratio": ratio,
             "addresses": [[3], [5], [6], [19]]}
     assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [("catalog",), ("expand", "--tiling", "daun"),
+                                  ("certify", "--tiling", "daun"),
+                                  ("connections", "--order", "kochel", "--depth", "1"),
+                                  ("search-rect", "--t-max", "4")])
+def test_format_rejected_where_it_is_not_read(capsys, argv):
+    # only simulate (json, csv) and render (svg) read --format
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "--format" in captured.err

@@ -132,3 +132,51 @@ def test_search_small_sizes_refute_everything():
     by_t = {(r["t"], r["alpha"]): r for r in report.per_ratio}
     assert by_t[(9, "2")]["packings"] == 14
     assert by_t[(9, "2")]["certified"] == 0
+
+
+# -- the packing layouts against the exact corner map ----------------------------
+
+def _exact_ortho_layouts(packing):
+    """The slow path: every piece corner mapped by the exact ortho, each box
+    moved to the image's min corner."""
+    from arrwwid.builders import ORTHO2
+    from arrwwid.certify import Layout
+    from arrwwid.exact import coord
+    W, H = packing.grid
+    k = isqrt(packing.t)
+    layouts = {}
+    for name, o in ORTHO2.items():
+        def img(x, y):
+            return tuple(int(c.as_fraction()) for c in o.apply((coord(x), coord(y))))
+
+        def box(x0, y0, x1, y1):
+            (ax, ay), (bx, by) = img(x0, y0), img(x1, y1)
+            return (min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+        minx, miny, maxx, maxy = box(0, 0, W, H)
+        boxes = []
+        for x, y, w, h in packing.pieces:
+            x0, y0, x1, y1 = box(x, y, x + w, y + h)
+            boxes.append((x0 - minx, y0 - miny, x1 - minx, y1 - miny))
+        layouts[name] = Layout(maxx - minx, maxy - miny, boxes, k)
+    return layouts
+
+
+def _exact_max_vertex_degree(packing):
+    """Most pieces whose closed boxes hold one piece corner strictly inside."""
+    W, H = packing.grid
+    corners = {(vx, vy) for x, y, w, h in packing.pieces
+               for vx in (x, x + w) for vy in (y, y + h) if 0 < vx < W and 0 < vy < H}
+    return max((sum(1 for x, y, w, h in packing.pieces
+                    if x <= vx <= x + w and y <= vy <= y + h) for vx, vy in corners),
+               default=0)
+
+
+@pytest.mark.parametrize("t,alpha", [(9, Fraction(2)), (16, Fraction(3, 2))])
+def test_ortho_layouts_match_exact_corner_map(t, alpha):
+    for pk in enumerate_packings(t, alpha):
+        got, want = _ortho_layouts(pk), _exact_ortho_layouts(pk)
+        assert list(got) == list(want)
+        for name in want:
+            a, b = got[name], want[name]
+            assert (a.w, a.h, a.boxes, a.k) == (b.w, b.h, b.boxes, b.k), (pk.pieces, name)
+        assert pk.max_vertex_degree() == _exact_max_vertex_degree(pk)
