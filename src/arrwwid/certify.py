@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import coord
 from .transforms import Similarity
-from .rules import RuleError
+from .rules import RuleError, validate_ruleset
 from .expand import integer_inverse_scale, tile_at, type_boxes, walk
 
 
@@ -261,7 +261,12 @@ def certify_max_degree(rs, bound, budget=100000):
         raise ValueError("certify budget must be at least 1, got %r" % (budget,))
     _require_supported(rs)
     if bound >= 4:
-        # interior-disjoint axis-aligned boxes: at most one tile per quadrant
+        # interior-disjoint axis-aligned boxes: at most one tile per quadrant,
+        # which holds only when the children tile their parents
+        report = validate_ruleset(rs)
+        if not report.valid:
+            raise UnsupportedShapeError(
+                "degree certification needs a valid tiling: %r" % (report.issues[0],))
         return DegreeCertificate(bound, "certified", steps=0)
     layouts, kids, anchors, den = _ruleset_layouts(rs)
     status, steps, seen, last = closure(layouts, kids, bound, budget)

@@ -46,10 +46,6 @@ class Coord:
         fr = Fraction(fr)
         return Coord(fr.numerator, 0, fr.denominator)
 
-    @staticmethod
-    def sqrt3():
-        return Coord(0, 1, 1)
-
     # -- queries ----------------------------------------------------------
 
     @property

@@ -6,10 +6,11 @@ most sqrt(t) and denominator below sqrt(t), with the width/height filling
 equations admitting solutions in which each orientation count is positive.
 Packings are enumerated by exact backtracking on the cut lattice (all cuts
 are multiples of 1/(q*sqrt(t)) of the unit height); per-tile transform
-assignments are searched with local corner-compatibility pruning, read off
-integer layouts of the packing, and each survivor goes through the closure
-engine of `certify`.  The packing's 8 per-ortho layouts are built once, by the
-orientation `certify` uses too (`expand.orient_boxes`), and shared by all its
+assignments are pruned by the nogoods of size one and two that the closure
+engine of `certify` finds in its first refinement of the packing's own vertex
+and edge configurations, and each survivor goes through that closure.  The
+packing's 8 per-ortho layouts are built once, by the orientation `certify`
+uses too (`expand.orient_boxes`), and shared by the pruning and all its
 assignments.  Every accepted assignment is certified again from its rule
 set's own placements, with any counterexample replayed on an exact expansion.
 """
@@ -31,6 +32,18 @@ from .certify import Layout, certify_max_degree, closure
 
 _UPRIGHT = ["id", "r180", "mx", "my"]
 _ROTATED = ["r90", "r270", "transpose", "antitranspose"]
+# the symmetries of a rectangle, which map the packing's grid onto itself
+_MIRRORS = ("id", "mx", "my", "r180")
+
+
+def _mirror(grid, box, sym):
+    """Piece box (x, y, w, h) of a W x H grid under the symmetry `sym`."""
+    x, y, w, h = box
+    if sym in ("mx", "r180"):
+        x = grid[0] - x - w
+    if sym in ("my", "r180"):
+        y = grid[1] - y - h
+    return (x, y, w, h)
 
 
 def eligible_ratios(t):
@@ -82,17 +95,8 @@ class Packing:
         return len(ws) == 1
 
     def symmetry_images(self):
-        W, H = self.grid
-        def mx(b):
-            x, y, w, h = b
-            return (W - x - w, y, w, h)
-        def my(b):
-            x, y, w, h = b
-            return (x, H - y - h, w, h)
-        yield self.pieces
-        yield tuple(sorted(mx(b) for b in self.pieces))
-        yield tuple(sorted(my(b) for b in self.pieces))
-        yield tuple(sorted(mx(my(b)) for b in self.pieces))
+        for sym in _MIRRORS:
+            yield tuple(sorted(_mirror(self.grid, b, sym) for b in self.pieces))
 
     def canonical_key(self):
         return min(self.symmetry_images())
@@ -202,90 +206,42 @@ def _ortho_layouts(packing):
     return layouts
 
 
-def _edge_cuts(lay, piece):
-    """Level-2 corners on the boundary of `piece` under the ortho of `lay`,
-    the piece's own corners excluded, as integer points in 1/k lattice units."""
-    x, y = lay.k * piece[0], lay.k * piece[1]
-    pts = set()
-    for x0, y0, x1, y1 in lay.boxes:
-        for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
-            if (cx in (0, lay.w)) != (cy in (0, lay.h)):
-                pts.add((x + cx, y + cy))
-    return pts
+def _assignment_domains(packing):
+    """Per-piece ortho candidates and forbidden ortho pairs of abutting pieces.
 
-
-def _assignment_candidates(packing, cuts):
-    """Per-piece ortho values filtered by the T-junction (unary) constraint."""
-    corners = packing.layouts["id"].corners
-    p = packing.alpha.numerator
-    q = packing.alpha.denominator
-    k = isqrt(packing.t)
-    cand = []
-    for i, piece in enumerate(packing.pieces):
-        x, y, w, h = piece
-        stems = [(k * vx, k * vy) for (vx, vy), inc in corners
-                 if any(j == i for j, _, _ in inc)
-                 and not (vx in (x, x + w) and vy in (y, y + h))]
-        cand.append([o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
-                     if not any(sv in cuts[i][o] for sv in stems)])
-    return cand
-
-
-def _binary_conflicts(packing, cand, cuts):
-    """Forbidden ortho pairs for pieces abutting along a positive segment."""
+    These are the nogoods of size 1 and 2 that the closure's first refinement
+    of the packing's own configurations finds, read off the same layouts.  A
+    piece keeps ortho o only when each packing vertex on its boundary lies in
+    one of its children, else more than three tiles meet there one level
+    down.  Pieces i < j abutting across an axis forbid (oi, oj) when a cut
+    of their edge configuration has more than three tiles.
+    """
+    lays = packing.layouts
+    p, q = packing.alpha.numerator, packing.alpha.denominator
+    # each packing vertex in the frame of every piece that holds it
+    at = [[] for _ in packing.pieces]
+    for _, inc in lays["id"].corners:
+        for i, dx, dy in inc:
+            at[i].append((-dx, -dy))
+    cand = [[o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
+             if all(len(lays[o].around(*v)) == 1 for v in at[i])]
+            for i, (_, _, w, h) in enumerate(packing.pieces)]
     conflicts = {}
-    pieces = packing.pieces
-    k = isqrt(packing.t)
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            seg = _shared_segment(pieces[i], pieces[j], k)
-            if seg is None:
-                continue
-            bad = set()
-            for oa in cand[i]:
-                ca = {pt for pt in cuts[i][oa] if _strictly_inside(pt, seg)}
-                if not ca:
-                    continue
-                for ob in cand[j]:
-                    if ca & cuts[j][ob]:
-                        bad.add((oa, ob))
-            if bad:
-                conflicts[(i, j)] = bad
-    return conflicts
-
-
-def _shared_segment(a, b, k):
-    """The segment two pieces share, in 1/k lattice units, or None."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    if ax + aw == bx or bx + bw == ax:
-        lo, hi = max(ay, by), min(ay + ah, by + bh)
-        if hi > lo:
-            x = ax + aw if ax + aw == bx else bx + bw
-            return ("v", k * x, k * lo, k * hi)
-    if ay + ah == by or by + bh == ay:
-        lo, hi = max(ax, bx), min(ax + aw, bx + bw)
-        if hi > lo:
-            y = ay + ah if ay + ah == by else by + bh
-            return ("h", k * y, k * lo, k * hi)
-    return None
-
-
-def _strictly_inside(pt, seg):
-    kind, line, lo, hi = seg
-    if kind == "v":
-        return pt[0] == line and lo < pt[1] < hi
-    return pt[1] == line and lo < pt[0] < hi
+    for axis, i, j, delta in lays["id"].pairs:
+        bad = {(oa, ob) for oa in cand[i] for ob in cand[j]
+               if any(len(inc_a) + len(inc_b) > 3
+                      for _, inc_a, inc_b in lays[oa].across(axis, lays[ob], delta)[1])}
+        if bad:
+            conflicts[min(i, j), max(i, j)] = bad if i < j else {(b, a) for a, b in bad}
+    return cand, conflicts
 
 
 def assignment_solutions(packing, cap=50000):
-    """Transform assignments surviving the local pruning, up to `cap`."""
-    cuts = [{o: _edge_cuts(lay, piece) for o, lay in packing.layouts.items()}
-            for piece in packing.pieces]
-    cand = _assignment_candidates(packing, cuts)
+    """Transform assignments satisfying every nogood of `_assignment_domains`,
+    up to `cap`."""
+    cand, conflicts = _assignment_domains(packing)
     if any(not c for c in cand):
         return []
-    conflicts = _binary_conflicts(packing, cand, cuts)
     n = len(cand)
     order = sorted(range(n), key=lambda i: len(cand[i]))
     sols = []
@@ -430,7 +386,7 @@ def _dedupe_accepted(accepted):
 def _conjugation_table():
     by_key = {o.key(): name for name, o in ORTHO2.items()}
     table = {}
-    for sym in ("mx", "my", "r180"):
+    for sym in _MIRRORS:
         g = ORTHO2[sym]
         table[sym] = {name: by_key[g.compose(o).compose(g.inverse()).key()]
                       for name, o in ORTHO2.items()}
@@ -441,21 +397,6 @@ _CONJ = _conjugation_table()
 
 
 def _candidate_key(pk, orthos):
-    W, H = pk.grid
-    variants = []
-    labelled = list(zip(pk.pieces, orthos))
-
-    def img(sym):
-        out = []
-        for (x, y, w, h), o in labelled:
-            if sym in ("mx", "r180"):
-                x = W - x - w
-            if sym in ("my", "r180"):
-                y = H - y - h
-            o2 = o if sym == "id" else _CONJ[sym][o]
-            out.append(((x, y, w, h), o2))
-        return tuple(sorted(out))
-
-    for sym in ("id", "mx", "my", "r180"):
-        variants.append(img(sym))
-    return min(variants)
+    return min(tuple(sorted((_mirror(pk.grid, b, sym), _CONJ[sym][o])
+                            for b, o in zip(pk.pieces, orthos)))
+               for sym in _MIRRORS)

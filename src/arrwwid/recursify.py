@@ -184,9 +184,6 @@ def _straddler_kept(q, r, c, m, assignment):
     if assignment == "contained+alternate":
         # clockwise from three o'clock: give, keep, give, keep, ...
         return idx % 2 == 1
-    if assignment == "contained+consecutive":
-        # keep a consecutive arc amounting to half the ring
-        return idx < len(ring) // 2
     raise LatticeError("unknown assignment %r" % assignment)
 
 

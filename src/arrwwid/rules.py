@@ -249,14 +249,18 @@ def _parse_child(rest, dim, lineno):
                         % (len(coords), dim), lineno)
     if scale.sign() <= 0:
         raise RuleError("non-positive scale", lineno)
+    return Child(rule, Similarity(scale, _child_ortho(dim, rot, reflect), coords), reverse)
+
+
+def _child_ortho(dim, rot, reflect):
+    """A child's Ortho from its `rot` field and reflect flag; in 3D the
+    reflection negates the third sign."""
     if dim == 2:
-        ortho = Ortho(2, parse_rot(rot, 2), reflect)
-    else:
-        perm, signs = parse_rot(rot, 3)
-        if reflect:
-            signs = (signs[0], signs[1], -signs[2])
-        ortho = Ortho(3, perm=perm, signs=signs)
-    return Child(rule, Similarity(scale, ortho, coords), reverse)
+        return Ortho(2, parse_rot(str(rot), 2), reflect)
+    perm, signs = parse_rot(rot, 3)
+    if reflect:
+        signs = (signs[0], signs[1], -signs[2])
+    return Ortho(3, perm=perm, signs=signs)
 
 
 def _split_translate(body):
@@ -288,15 +292,8 @@ def _from_json(doc, name):
                             for x, y in base_doc["vertices"]])
         children = []
         for c in rdoc["children"]:
-            dim = base.dim
-            if dim == 2:
-                ortho = Ortho(2, parse_rot(str(c.get("rot", 0)), 2),
-                              bool(c.get("reflect", False)))
-            else:
-                perm, signs = parse_rot(c.get("rot", "x,y,z"), 3)
-                if c.get("reflect", False):
-                    signs = (signs[0], signs[1], -signs[2])
-                ortho = Ortho(3, perm=perm, signs=signs)
+            ortho = _child_ortho(base.dim, c.get("rot", 0 if base.dim == 2 else "x,y,z"),
+                                 bool(c.get("reflect", False)))
             placement = Similarity(parse_coord(str(c["scale"])), ortho,
                                    [parse_coord(str(v)) for v in c["translate"]])
             children.append(Child(c["rule"], placement, bool(c.get("reversed", False))))

@@ -124,6 +124,15 @@ child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(rt3,1/2)
     _rejected_before_closure(text, tmp_path, monkeypatch, capsys)
 
 
+def test_bound4_shortcut_rejects_non_tiling():
+    # the quadrant argument behind bound >= 4 holds only for a valid tiling
+    from test_walk import CHILD_OUTSIDE
+    rs = parse_ruleset(CHILD_OUTSIDE)
+    assert not validate_ruleset(rs).valid
+    with pytest.raises(UnsupportedShapeError, match="valid tiling"):
+        certify_max_degree(rs, 4)
+
+
 # (status, steps, len(configurations), vertex, degree, depth): the closure's
 # exact outputs, which a change to the engine's order or witnesses would move
 _PINNED_CATALOG = [

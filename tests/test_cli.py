@@ -49,6 +49,17 @@ def test_certify_bad_budget_exit_two(capsys):
     assert "budget" in captured.err
 
 
+def test_certify_bound4_non_tiling_exit_two(capsys, tmp_path):
+    from test_walk import CHILD_OUTSIDE
+    path = tmp_path / "outside.rules"
+    path.write_text(CHILD_OUTSIDE)
+    code = main(["certify", "--tiling", str(path), "--bound", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "valid tiling" in captured.err
+
+
 def test_unknown_input_exit_two(capsys):
     code, _ = run(capsys, "validate", "--tiling", "nonexistent-thing")
     assert code == 2

@@ -6,7 +6,8 @@ import pytest
 from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, Packing,
                                 packing_ruleset, assignment_solutions,
                                 _PackingClosure, search_min_rect_tiling,
-                                _ortho_layouts, _edge_cuts, _UPRIGHT, _ROTATED)
+                                _ortho_layouts, _UPRIGHT, _ROTATED)
+from arrwwid.rectsearch import _assignment_domains
 from arrwwid.expand import expand
 from arrwwid.rules import validate_ruleset
 from arrwwid.certify import certify_max_degree
@@ -180,3 +181,112 @@ def test_ortho_layouts_match_exact_corner_map(t, alpha):
             a, b = got[name], want[name]
             assert (a.w, a.h, a.boxes, a.k) == (b.w, b.h, b.boxes, b.k), (pk.pieces, name)
         assert pk.max_vertex_degree() == _exact_max_vertex_degree(pk)
+
+
+# -- the closure's nogoods against the cut-point geometry ------------------------
+#
+# The oracle: level-2 cut points on each piece's boundary, as integer points in
+# 1/k lattice units, and the unary (T-junction) and binary (shared segment)
+# constraints read off them.
+
+def _edge_cuts(lay, piece):
+    """Level-2 corners on the boundary of `piece` under the ortho of `lay`,
+    the piece's own corners excluded, as integer points in 1/k lattice units."""
+    x, y = lay.k * piece[0], lay.k * piece[1]
+    pts = set()
+    for x0, y0, x1, y1 in lay.boxes:
+        for cx, cy in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+            if (cx in (0, lay.w)) != (cy in (0, lay.h)):
+                pts.add((x + cx, y + cy))
+    return pts
+
+
+def _assignment_candidates(packing, cuts):
+    """Per-piece ortho values filtered by the T-junction (unary) constraint."""
+    corners = packing.layouts["id"].corners
+    p = packing.alpha.numerator
+    q = packing.alpha.denominator
+    k = isqrt(packing.t)
+    cand = []
+    for i, piece in enumerate(packing.pieces):
+        x, y, w, h = piece
+        stems = [(k * vx, k * vy) for (vx, vy), inc in corners
+                 if any(j == i for j, _, _ in inc)
+                 and not (vx in (x, x + w) and vy in (y, y + h))]
+        cand.append([o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
+                     if not any(sv in cuts[i][o] for sv in stems)])
+    return cand
+
+
+def _binary_conflicts(packing, cand, cuts):
+    """Forbidden ortho pairs for pieces abutting along a positive segment."""
+    conflicts = {}
+    pieces = packing.pieces
+    k = isqrt(packing.t)
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            seg = _shared_segment(pieces[i], pieces[j], k)
+            if seg is None:
+                continue
+            bad = set()
+            for oa in cand[i]:
+                ca = {pt for pt in cuts[i][oa] if _strictly_inside(pt, seg)}
+                if not ca:
+                    continue
+                for ob in cand[j]:
+                    if ca & cuts[j][ob]:
+                        bad.add((oa, ob))
+            if bad:
+                conflicts[(i, j)] = bad
+    return conflicts
+
+
+def _shared_segment(a, b, k):
+    """The segment two pieces share, in 1/k lattice units, or None."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    if ax + aw == bx or bx + bw == ax:
+        lo, hi = max(ay, by), min(ay + ah, by + bh)
+        if hi > lo:
+            x = ax + aw if ax + aw == bx else bx + bw
+            return ("v", k * x, k * lo, k * hi)
+    if ay + ah == by or by + bh == ay:
+        lo, hi = max(ax, bx), min(ax + aw, bx + bw)
+        if hi > lo:
+            y = ay + ah if ay + ah == by else by + bh
+            return ("h", k * y, k * lo, k * hi)
+    return None
+
+
+def _strictly_inside(pt, seg):
+    kind, line, lo, hi = seg
+    if kind == "v":
+        return pt[0] == line and lo < pt[1] < hi
+    return pt[1] == line and lo < pt[0] < hi
+
+
+_NON_CROSSING = [(9, Fraction(2)), (16, Fraction(3, 2)), (16, Fraction(2)), (16, Fraction(3))]
+
+
+@pytest.mark.parametrize("t,alpha", _NON_CROSSING)
+def test_assignment_domains_match_cut_point_oracle(t, alpha):
+    packings = [p for p in enumerate_packings(t, alpha) if p.max_vertex_degree() <= 3]
+    assert packings
+    for pk in packings:
+        cuts = [{o: _edge_cuts(lay, piece) for o, lay in pk.layouts.items()}
+                for piece in pk.pieces]
+        want_cand = _assignment_candidates(pk, cuts)
+        cand, conflicts = _assignment_domains(pk)
+        assert cand == want_cand, pk.pieces
+        assert conflicts == _binary_conflicts(pk, want_cand, cuts), pk.pieces
+
+
+@pytest.mark.parametrize("t,alpha,counts", [
+    (9, Fraction(2), [0, 0]),
+    (16, Fraction(3, 2), [131072, 0]),
+    (16, Fraction(2), [0, 0, 0]),
+    (16, Fraction(3), [0] * 8),
+])
+def test_uncapped_assignment_counts(t, alpha, counts):
+    packings = [p for p in enumerate_packings(t, alpha) if p.max_vertex_degree() <= 3]
+    assert [len(assignment_solutions(pk, cap=10 ** 6)) for pk in packings] == counts

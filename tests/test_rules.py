@@ -47,6 +47,12 @@ def test_json_mirror():
     assert rs2 == rs
 
 
+def test_every_catalog_entry_round_trips_through_json():
+    for name in catalog.names():
+        rs = catalog.builtin(name).ruleset
+        assert parse_ruleset(json.dumps(ruleset_to_json(rs))) == rs, name
+
+
 def test_unknown_rule_error_names_it():
     bad = QUAD.replace("child rule=Q scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)",
                        "child rule=X scale=1/2 rot=0 reflect=0 reversed=0 translate=(1/2,1/2)")
