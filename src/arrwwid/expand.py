@@ -236,10 +236,6 @@ class DegreeMap:
         self.max_interior = max(interior.values(), default=0)
         self.max_boundary = max(boundary.values(), default=0)
 
-    @property
-    def max_degree(self):
-        return max(self.max_interior, self.max_boundary)
-
 
 def vertex_degrees(ts):
     """Degree (number of interior-disjoint tiles meeting) at every vertex."""

@@ -8,11 +8,15 @@ Packings are enumerated by exact backtracking on the cut lattice (all cuts
 are multiples of 1/(q*sqrt(t)) of the unit height); per-tile transform
 assignments are pruned by the nogoods of size one and two that the closure
 engine of `certify` finds in its first refinement of the packing's own vertex
-and edge configurations, and each survivor goes through that closure.  The
-packing's 8 per-ortho layouts are built once, by the orientation `certify`
-uses too (`expand.orient_boxes`), and shared by the pruning and all its
-assignments.  Every accepted assignment is certified again from its rule
-set's own placements, with any counterexample replayed on an exact expansion.
+and edge configurations.  The survivors go through that closure, except
+those a learned nogood covers: the counterexample chain of a refuted
+assignment names every (piece, ortho) its closure read, and any assignment
+agreeing on those is refuted by the same chain, so it is counted as refuted
+without a closure.  The packing's 8 per-ortho layouts are built once, by the
+orientation `certify` uses too (`expand.orient_boxes`), and shared by the
+pruning and all its assignments.  Every accepted assignment is certified
+again from its rule set's own placements, with any counterexample replayed
+on an exact expansion.
 """
 
 from __future__ import annotations
@@ -210,12 +214,16 @@ def _assignment_domains(packing):
     """Per-piece ortho candidates and forbidden ortho pairs of abutting pieces.
 
     These are the nogoods of size 1 and 2 that the closure's first refinement
-    of the packing's own configurations finds, read off the same layouts.  A
-    piece keeps ortho o only when each packing vertex on its boundary lies in
-    one of its children, else more than three tiles meet there one level
-    down.  Pieces i < j abutting across an axis forbid (oi, oj) when a cut
-    of their edge configuration has more than three tiles.
+    of the packing's own configurations finds, read off the same layouts.
     """
+    cand = _piece_domains(packing)
+    return cand, _pair_conflicts(packing, cand)
+
+
+def _piece_domains(packing):
+    """Per-piece ortho candidates.  A piece keeps ortho o only when each
+    packing vertex on its boundary lies in one of its children, else more
+    than three tiles meet there one level down."""
     lays = packing.layouts
     p, q = packing.alpha.numerator, packing.alpha.denominator
     # each packing vertex in the frame of every piece that holds it
@@ -223,9 +231,16 @@ def _assignment_domains(packing):
     for _, inc in lays["id"].corners:
         for i, dx, dy in inc:
             at[i].append((-dx, -dy))
-    cand = [[o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
+    return [[o for o in (_UPRIGHT if (w, h) == (p, q) else _ROTATED)
              if all(len(lays[o].around(*v)) == 1 for v in at[i])]
             for i, (_, _, w, h) in enumerate(packing.pieces)]
+
+
+def _pair_conflicts(packing, cand):
+    """Forbidden ortho pairs, keyed (i, j) with i < j: abutting pieces forbid
+    (oi, oj) when a cut of their edge configuration has more than three
+    tiles."""
+    lays = packing.layouts
     conflicts = {}
     for axis, i, j, delta in lays["id"].pairs:
         bad = {(oa, ob) for oa in cand[i] for ob in cand[j]
@@ -233,74 +248,161 @@ def _assignment_domains(packing):
                       for _, inc_a, inc_b in lays[oa].across(axis, lays[ob], delta)[1])}
         if bad:
             conflicts[min(i, j), max(i, j)] = bad if i < j else {(b, a) for a, b in bad}
-    return cand, conflicts
+    return conflicts
+
+
+def _assignments(packing, cap, refute=None):
+    """The first `cap` transform assignments satisfying every nogood of
+    `_assignment_domains`, in backtracking order, as (orthos, nogood, ran).
+
+    Without `refute`, nogood is None and ran False.  With it, a nogood that
+    refute(orthos) returns is learned, indexed by its last piece in the
+    search order and that piece's ortho, and checked whenever that piece is
+    assigned.  An assignment under a matched prefix comes with the nogood
+    and ran False; any other with refute(orthos) and ran True.  The
+    assignments a nogood covers still come out one by one, so their order
+    and number do not depend on `refute`.
+    """
+    cand = _piece_domains(packing)
+    if cap < 1 or not all(cand):
+        return      # before any edge configuration's cuts are built
+    conflicts = _pair_conflicts(packing, cand)
+    n = len(cand)
+    order = sorted(range(n), key=lambda i: len(cand[i]))
+    depth = [0] * n
+    for k, i in enumerate(order):
+        depth[i] = k
+    # an assignment's (piece, ortho) pairs, as the bits of one integer
+    bit = [{o: 1 << (8 * i + m) for m, o in enumerate(ORTHO2)} for i in range(n)]
+    # each forbidden pair, as a bit under the later of its pieces and its ortho
+    bans = [dict.fromkeys(c, 0) for c in cand]
+    for (i, j), bad in conflicts.items():
+        for oi, oj in bad:
+            if depth[i] < depth[j]:
+                bans[j][oj] |= bit[i][oi]
+            else:
+                bans[i][oi] |= bit[j][oj]
+    learned = {}            # (piece, ortho) -> (bits, nogood) ending there
+    chosen = [None] * n
+    held = [0] * (n + 1)    # the bits of the pieces before each depth
+    values = [iter(cand[order[0]])]
+    # the shallowest depth whose prefix a learned nogood covers, n for none
+    doom, cover = n, None
+    count = 0
+    while values:
+        k = len(values) - 1
+        i = order[k]
+        for o in values[k]:
+            if not held[k] & bans[i][o]:
+                break
+        else:
+            values.pop()
+            continue
+        chosen[i] = o
+        held[k + 1] = now = held[k] | bit[i][o]
+        if doom >= k:
+            doom = n
+            for bits, ng in learned.get((i, o), ()):
+                if now & bits == bits:
+                    doom, cover = k, ng
+                    break
+        if k + 1 < n:
+            values.append(iter(cand[order[k + 1]]))
+            continue
+        orthos = tuple(chosen)
+        if doom < n:
+            yield orthos, cover, False
+        elif refute is None:
+            yield orthos, None, False
+        else:
+            ng = refute(orthos)
+            if ng is not None:
+                last = max(ng, key=lambda e: depth[e[0]])
+                learned.setdefault(last, []).append((sum(bit[j][oj] for j, oj in ng), ng))
+                doom, cover = depth[last[0]], ng
+            yield orthos, ng, True
+        count += 1
+        if count == cap:
+            return
 
 
 def assignment_solutions(packing, cap=50000):
     """Transform assignments satisfying every nogood of `_assignment_domains`,
     up to `cap`."""
-    cand, conflicts = _assignment_domains(packing)
-    if any(not c for c in cand):
-        return []
-    n = len(cand)
-    order = sorted(range(n), key=lambda i: len(cand[i]))
-    sols = []
-    chosen = [None] * n
-
-    def rec(k):
-        if len(sols) >= cap:
-            return
-        if k == n:
-            sols.append(tuple(chosen))
-            return
-        i = order[k]
-        for val in cand[i]:
-            ok = True
-            for (a, b), bad in conflicts.items():
-                if a == i and chosen[b] is not None and (val, chosen[b]) in bad:
-                    ok = False
-                    break
-                if b == i and chosen[a] is not None and (chosen[a], val) in bad:
-                    ok = False
-                    break
-            if ok:
-                chosen[i] = val
-                rec(k + 1)
-                chosen[i] = None
-
-    rec(0)
-    return sols
+    return [orthos for orthos, _, _ in _assignments(packing, cap)]
 
 
 # -- one packing, many assignments ----------------------------------------------
 #
-# The packing's 8 ortho layouts and the ortho compose table are built once;
-# each assignment only adds its type table (the child orthos of every ortho
-# reachable from "id").  Accepted candidates are re-certified from the child
-# placements of `packing_ruleset`: its boxes come from the placements and its
-# type table from composing the placements' orthos, not from the pieces and
-# the compose table used here.
+# The packing's 8 ortho layouts are built once and the ortho compose table at
+# import; each assignment only adds its type table (the child orthos of every
+# ortho reachable from "id").  Accepted candidates are re-certified from the
+# child placements of `packing_ruleset`: its boxes come from the placements
+# and its type table from composing the placements' orthos, not from the
+# pieces and the compose table used here.
+
+def _compose_table():
+    by_key = {o.key(): n for n, o in ORTHO2.items()}
+    return {(a, b): by_key[ORTHO2[a].compose(ORTHO2[b]).key()]
+            for a in ORTHO2 for b in ORTHO2}
+
+
+_COMP = _compose_table()
+
 
 class _PackingClosure:
     """certify_max_degree's closure, on one packing's integer cut lattice."""
 
     def __init__(self, packing):
         self.layouts = packing.layouts
-        by_key = {o.key(): n for n, o in ORTHO2.items()}
-        self.comp = {(a, b): by_key[ORTHO2[a].compose(ORTHO2[b]).key()]
-                     for a in ORTHO2 for b in ORTHO2}
+
+    def refute(self, orthos):
+        """None when the closure closes without a vertex of degree > 3, else
+        the nogood its counterexample chain read, as sorted (piece, ortho).
+
+        The closure reads an assignment only as kids[t][i], the compose of
+        type t and orthos[i].  The nogood holds the pieces whose children
+        the chain's steps read, from the initial configuration up to the
+        violating vertex's parent, and the pieces on the path from "id" to
+        the initial configuration's type.  Every assignment agreeing on
+        those reaches that parent, and so a vertex of the same size.
+        """
+        lays = self.layouts
+        reach, path, kids = ["id"], {"id": ()}, {}
+        for o in reach:
+            kids[o] = ts = tuple(_COMP[o, c] for c in orthos)
+            for i, t in enumerate(ts):
+                if t not in path:
+                    path[t] = path[o] + (i,)
+                    reach.append(t)
+        status, _, seen, cfg = closure(lays, kids, 3, inf)
+        if status == "certified":
+            return None
+        # a vertex's size is fixed by the configuration it comes from, so
+        # the types of the violating vertex's own entries are not read
+        read = set()
+        parent, a, b = seen[cfg]
+        while parent is not None:
+            cfg = parent
+            parent, a, b = seen[cfg]
+            if parent is None:       # initial, in type a: a child pair or a corner
+                read.update(b if cfg[0] == "E" else (i for i, _, _ in lays[a].around(*b)))
+            elif cfg[0] == "E":      # the child pair (a, b) of an edge
+                read.update((a, b))
+            elif parent[0] == "E":   # the cut point (a, b) of an edge
+                _, axis, ta, tb, delta = parent
+                there = (0, b - delta) if axis == 0 else (a - delta, 0)
+                read.update(i for i, _, _ in lays[ta].around(a, b))
+                read.update(j for j, _, _ in lays[tb].around(*there))
+            else:                    # the same vertex one level down
+                for t, dx, dy in parent[1]:
+                    read.update(i for i, _, _ in lays[t].around(-dx, -dy))
+        read.update(path[a])         # a is the initial configuration's type
+        return tuple((i, orthos[i]) for i in sorted(read))
 
     def certified(self, orthos):
         """True when the closure closes without a vertex of degree > 3."""
-        comp = self.comp
-        reach = ["id"]
-        kids = {}
-        for o in reach:
-            kids[o] = ts = tuple(comp[o, c] for c in orthos)
-            for t in ts:
-                if t not in reach:
-                    reach.append(t)
-        return closure(self.layouts, kids, 3, inf)[0] == "certified"
+        return self.refute(orthos) is None
 
 
 class SearchReport:
@@ -308,6 +410,9 @@ class SearchReport:
         self.per_ratio = []       # dicts with t, alpha, stats
         self.accepted = []        # (t, alpha, packing, orthos, certificate)
         self.budget_exceeded = False
+        # per (t, alpha): closures run and nogoods learned, kept out of as_dict
+        self.closures = {}
+        self.nogoods = {}
 
     @property
     def total_inconclusive(self):
@@ -335,6 +440,7 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                      "crossing_packings": 0, "assignments": 0,
                      "certified": 0, "refuted": 0, "inconclusive": 0,
                      "regular_grid_packings": 0}
+            closures = nogoods = 0
             packings = enumerate_packings(t, alpha, budget=packing_budget)
             entry["packings"] = len(packings)
             for pk in packings:
@@ -344,14 +450,13 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                     entry["crossing_packings"] += 1
                     entry["refuted"] += 1
                     continue
-                sols = assignment_solutions(pk, cap=assignment_cap)
-                if len(sols) >= assignment_cap:
-                    entry["assignment_cap_hit"] = True
-                    report.budget_exceeded = True
-                entry["assignments"] += len(sols)
-                lattice = _PackingClosure(pk) if sols else None
-                for orthos in sols:
-                    if not lattice.certified(orthos):
+                count = 0
+                for orthos, nogood, ran in _assignments(pk, assignment_cap,
+                                                        _PackingClosure(pk).refute):
+                    count += 1
+                    closures += ran
+                    if nogood is not None:
+                        nogoods += ran
                         entry["refuted"] += 1
                         continue
                     # re-certify every acceptance from its rule set
@@ -366,7 +471,13 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                             % (orthos,))
                     else:
                         entry["inconclusive"] += 1
+                if count >= assignment_cap:
+                    entry["assignment_cap_hit"] = True
+                    report.budget_exceeded = True
+                entry["assignments"] += count
             report.per_ratio.append(entry)
+            report.closures[t, alpha] = closures
+            report.nogoods[t, alpha] = nogoods
     report.accepted = _dedupe_accepted(report.accepted)
     return report
 

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 import pytest
 
@@ -7,10 +8,11 @@ from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, Packing,
                                 packing_ruleset, assignment_solutions,
                                 _PackingClosure, search_min_rect_tiling,
                                 _ortho_layouts, _UPRIGHT, _ROTATED)
-from arrwwid.rectsearch import _assignment_domains
-from arrwwid.expand import expand
+from arrwwid.rectsearch import _assignment_domains, _assignments, _piece_domains
+from arrwwid.builders import ORTHO2
+from arrwwid.expand import expand, max_interior_degree_fast
 from arrwwid.rules import validate_ruleset
-from arrwwid.certify import certify_max_degree
+from arrwwid.certify import Layout, certify_max_degree, closure
 
 
 def _oracle_ratios(t):
@@ -290,3 +292,208 @@ def test_assignment_domains_match_cut_point_oracle(t, alpha):
 def test_uncapped_assignment_counts(t, alpha, counts):
     packings = [p for p in enumerate_packings(t, alpha) if p.max_vertex_degree() <= 3]
     assert [len(assignment_solutions(pk, cap=10 ** 6)) for pk in packings] == counts
+
+
+# -- nogoods learned from refutations ----------------------------------------------
+
+# the one (16, 3/2) packing with assignments, and the 4 of its 131,072
+# assignments that the full closure certifies, in backtracking order (found
+# by `_PackingClosure.certified` on every one of them)
+_PIECES_16 = ((0, 0, 3, 2), (0, 2, 2, 3), (0, 5, 2, 3), (2, 2, 3, 2), (2, 4, 3, 2),
+              (2, 6, 3, 2), (3, 0, 3, 2), (5, 2, 2, 3), (5, 5, 2, 3), (6, 0, 3, 2),
+              (7, 2, 3, 2), (7, 4, 3, 2), (7, 6, 3, 2), (9, 0, 3, 2), (10, 2, 2, 3),
+              (10, 5, 2, 3))
+_CERTIFIED_16 = [
+    ("id", "r90", "r270", "id", "id", "id", "r180", "r270", "r90", "id",
+     "r180", "r180", "r180", "r180", "r90", "r270"),
+    ("r180", "r270", "r90", "r180", "r180", "r180", "id", "r90", "r270", "r180",
+     "id", "id", "id", "id", "r270", "r90"),
+    ("mx", "antitranspose", "transpose", "mx", "mx", "mx", "my", "transpose",
+     "antitranspose", "mx", "my", "my", "my", "my", "antitranspose", "transpose"),
+    ("my", "transpose", "antitranspose", "my", "my", "my", "mx", "antitranspose",
+     "transpose", "my", "mx", "mx", "mx", "mx", "transpose", "antitranspose"),
+]
+
+
+def _non_crossing_packings():
+    return [pk for t, alpha in _NON_CROSSING for pk in enumerate_packings(t, alpha)
+            if pk.max_vertex_degree() <= 3]
+
+
+def _closure_status(pk, known):
+    """certify.closure run in full on the pieces of `known` (piece -> ortho),
+    its type table composed from the exact orthos rather than read off the
+    search's table.  Every other piece gets a type "?" with no extent and no
+    children, whose configurations refine to nothing; so each configuration
+    reached is part of one in the closure of every completion, and a
+    counterexample here refutes all of them."""
+    by_key = {o.key(): n for n, o in ORTHO2.items()}
+    layouts = dict(pk.layouts, **{"?": Layout(0, 0, [], isqrt(pk.t))})
+    reach, kids = ["id"], {"?": ()}
+    for o in reach:
+        kids[o] = ts = tuple(by_key[ORTHO2[o].compose(ORTHO2[known[i]]).key()]
+                             if i in known else "?" for i in range(len(pk.pieces)))
+        reach += [t for t in dict.fromkeys(ts) if t != "?" and t not in reach]
+    return closure(layouts, kids, 3, inf)[0]
+
+
+def _full_status(pk, orthos):
+    return _closure_status(pk, dict(enumerate(orthos)))
+
+
+@pytest.fixture(scope="module")
+def nogood_runs():
+    """The uncapped nogood search on every non-crossing packing with t <= 16:
+    per packing the certified assignments and the nogoods learned, and a
+    seeded sample of 200 assignments that a nogood covered."""
+    rng = random.Random(1994)
+    runs, pruned, covered = [], [], 0
+    for pk in _non_crossing_packings():
+        run = {"packing": pk, "certified": [], "nogoods": []}
+        for orthos, nogood, ran in _assignments(pk, 10 ** 6, _PackingClosure(pk).refute):
+            if nogood is None:
+                run["certified"].append(orthos)
+            elif ran:
+                run["nogoods"].append(nogood)
+            else:
+                covered += 1        # reservoir sample
+                if len(pruned) < 200:
+                    pruned.append((pk, orthos))
+                elif (m := rng.randrange(covered)) < 200:
+                    pruned[m] = (pk, orthos)
+        runs.append(run)
+    return runs, pruned
+
+
+@pytest.fixture(scope="module")
+def uncapped_search():
+    return search_min_rect_tiling(16)
+
+
+def test_nogood_search_certifies_the_pinned_assignments(nogood_runs):
+    runs, _ = nogood_runs
+    assert len(runs) == 15
+    assert [r["packing"].pieces for r in runs].count(_PIECES_16) == 1
+    for run in runs:
+        want = _CERTIFIED_16 if run["packing"].pieces == _PIECES_16 else []
+        assert run["certified"] == want, run["packing"].pieces
+
+
+def test_nogood_pruned_assignments_are_refuted_in_full(nogood_runs):
+    _, pruned = nogood_runs
+    assert len(pruned) == 200
+    for pk, orthos in pruned:
+        assert _full_status(pk, orthos) == "counterexample", orthos
+
+
+def test_learned_nogoods_refute_every_completion(nogood_runs):
+    runs, _ = nogood_runs
+    learned = [(r["packing"], ng) for r in runs for ng in r["nogoods"]]
+    assert len(learned) >= 20
+    for pk, ng in learned:
+        assert _closure_status(pk, dict(ng)) == "counterexample", ng
+    rng = random.Random(94)
+    for pk, ng in rng.sample(learned, 20):
+        for orthos in _completions(pk, ng, rng):
+            assert _full_status(pk, orthos) == "counterexample", ng
+
+
+def _completions(pk, nogood, rng):
+    """The nogood completed at random over all 8 orthos, and with "id"."""
+    for fill in ([rng.choice(list(ORTHO2)) for _ in pk.pieces], ["id"] * len(pk.pieces)):
+        for i, o in nogood:
+            fill[i] = o
+        yield tuple(fill)
+
+
+def test_nogoods_of_any_assignment_refute_every_completion():
+    # assignments over all 8 orthos, outside the candidate domains, also
+    # meet vertex roots and vertex steps in their counterexample chains
+    rng = random.Random(8)
+    refuted = 0
+    for pk in _non_crossing_packings():
+        lattice = _PackingClosure(pk)
+        for _ in range(40):
+            orthos = tuple(rng.choice(list(ORTHO2)) for _ in pk.pieces)
+            nogood = lattice.refute(orthos)
+            assert (nogood is None) == (_full_status(pk, orthos) == "certified")
+            if nogood is not None:
+                refuted += 1
+                assert all(orthos[i] == o for i, o in nogood)
+                assert _closure_status(pk, dict(nogood)) == "counterexample", nogood
+                for fill in _completions(pk, nogood, rng):
+                    assert _full_status(pk, fill) == "counterexample", nogood
+    assert refuted > 400
+
+
+@pytest.mark.parametrize("orthos", [
+    ("transpose", "antitranspose", "r270", "my", "transpose", "antitranspose", "mx",
+     "transpose", "antitranspose", "id", "transpose", "transpose", "transpose", "mx",
+     "mx", "antitranspose"),
+    ("transpose", "antitranspose", "r180", "r90", "r270", "r90", "r270", "mx", "mx",
+     "r180", "r180", "antitranspose", "r270", "my", "mx", "transpose"),
+])
+def test_nogood_of_a_cut_point_then_vertex_chain(orthos):
+    # (16, 3) assignments whose counterexample chains go from an edge's cut
+    # point to the same vertex one level down: the first needs the pieces on
+    # the cut's upper side, the second those on its lower side
+    pk = [p for p in enumerate_packings(16, Fraction(3)) if p.pieces == (
+        (0, 0, 3, 1), (0, 1, 1, 3), (1, 1, 3, 1), (1, 2, 3, 1), (1, 3, 3, 1), (3, 0, 3, 1),
+        (4, 1, 1, 3), (5, 1, 1, 3), (6, 0, 1, 3), (6, 3, 3, 1), (7, 0, 3, 1), (7, 1, 3, 1),
+        (7, 2, 3, 1), (9, 3, 3, 1), (10, 0, 1, 3), (11, 0, 1, 3))][0]
+    nogood = _PackingClosure(pk).refute(orthos)
+    assert _closure_status(pk, dict(nogood)) == "counterexample", nogood
+
+
+def test_nogood_search_keeps_the_backtracking_order():
+    pk = [p for p in enumerate_packings(16, Fraction(3, 2)) if p.pieces == _PIECES_16][0]
+    for cap in (1, 1000):
+        got = [orthos for orthos, _, _ in _assignments(pk, cap, _PackingClosure(pk).refute)]
+        assert got == assignment_solutions(pk, cap=cap)
+        assert len(got) == cap
+
+
+def test_no_closure_runs_on_a_covered_assignment():
+    pk = [p for p in enumerate_packings(16, Fraction(3, 2)) if p.pieces == _PIECES_16][0]
+    learned = []
+    for orthos, nogood, ran in _assignments(pk, 3000, _PackingClosure(pk).refute):
+        covering = [ng for ng in learned if all(orthos[i] == o for i, o in ng)]
+        assert ran != bool(covering), orthos
+        if ran and nogood is not None:
+            learned.append(nogood)
+        assert not covering or nogood in covering
+    assert 10 < len(learned) < 100
+
+
+def test_packings_without_candidates_build_no_cuts():
+    # a piece that keeps no ortho ends the search before any edge cut is built
+    empty = [pk for pk in _non_crossing_packings() if not all(_piece_domains(pk))]
+    assert empty
+    for pk in empty:
+        assert assignment_solutions(pk) == []
+        assert all(not lay._across for lay in pk.layouts.values()), pk.pieces
+
+
+def test_uncapped_search_counts_and_closures(uncapped_search):
+    rep = uncapped_search
+    entry = [r for r in rep.per_ratio if (r["t"], r["alpha"]) == (16, "3/2")][0]
+    assert (entry["assignments"], entry["certified"], entry["inconclusive"]) == (131072, 4, 0)
+    assert sum(rep.closures.values()) <= 1200
+    # every closure either certifies or teaches one nogood
+    assert rep.closures[16, Fraction(3, 2)] == rep.nogoods[16, Fraction(3, 2)] + 4
+    assert set(rep.closures) == {(r["t"], Fraction(r["alpha"])) for r in rep.per_ratio}
+    assert "closures" not in str(rep.as_dict())
+
+
+def test_capped_search_runs_few_closures():
+    rep = search_min_rect_tiling(16, assignment_cap=1000)
+    assert rep.budget_exceeded
+    assert 0 < sum(rep.closures.values()) <= 100
+
+
+def test_accepted_candidates_have_raster_degree_three(uncapped_search):
+    assert uncapped_search.accepted
+    for _, _, pk, orthos, _ in uncapped_search.accepted:
+        rs = packing_ruleset(pk, orthos)
+        for d in (1, 2, 3, 4):
+            assert max_interior_degree_fast(rs, d) <= 3, (orthos, d)
