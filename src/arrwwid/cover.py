@@ -11,11 +11,12 @@ These are exact lower bounds on the true worst case.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import ZERO, ONE, coord
+from .exact import ZERO, ONE, Coord, coord
 from .shapes import Box
 from .rules import RuleError
 from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, prefix_table, scan_raster,
@@ -143,29 +144,56 @@ def reference_side(rs):
     return min(bb.extent())
 
 
+_LEVEL_CACHE = weakref.WeakKeyDictionary()
+
+
+def _level_constants(rs):
+    """(reference side, subdivision ratio) of the rule set, computed once;
+    both as Fractions when both are rational, else both as Coords."""
+    consts = _LEVEL_CACHE.get(rs)
+    if consts is None:
+        side, lam = reference_side(rs), subdivision_ratio(rs)
+        if side.is_rational and lam.is_rational:
+            side, lam = side.as_fraction(), lam.as_fraction()
+        consts = _LEVEL_CACHE[rs] = (side, lam)
+    return consts
+
+
+def _exact(x):
+    """x as a Fraction, or as a Coord when it has a sqrt(3) part."""
+    if isinstance(x, Coord):
+        return x.as_fraction() if x.is_rational else x
+    return Fraction(x)
+
+
 def canonical_level(rs, r, kappa=Fraction(2), max_level=64):
     """Unique level where the tile's reference side is in (kappa*r, kappa*lam*r].
 
     kappa defaults to the window used for regular square tilings; catalog
-    entries carry their own constants.
+    entries carry their own constants.  The comparisons run on integers when
+    every value is rational.
     """
-    r = coord(r)
-    if r.sign() <= 0:
+    r, kappa = _exact(r), _exact(kappa)
+    if r <= 0:
         raise ValueError("radius must be positive")
-    lam = subdivision_ratio(rs)
-    kap = coord(kappa)
-    side = reference_side(rs)
-    hi = kap * lam * r
-    lo = kap * r
-    if (side - hi).sign() > 0:
+    side, lam = _level_constants(rs)
+    hi = kappa * lam * r
+    # level k has reference side side / lam**k; with side / hi = a / b and
+    # lam = up / down it is at most hi exactly when a * down**k <= b * up**k
+    if all(isinstance(v, Fraction) for v in (side, lam, hi)):
+        a, b = side.numerator * hi.denominator, hi.numerator * side.denominator
+        up, down = lam.numerator, lam.denominator
+    else:
+        a, b, up, down = coord(side), coord(hi), coord(lam), ONE
+    if a > b:
         k = 0
-        while (side - hi).sign() > 0:
-            side = side * (ONE / lam)
+        while a > b:
+            a, b = a * down, b * up
             k += 1
             if k > max_level:
                 raise RuleError("no canonical level below %d" % max_level)
         return k
-    if (side - lo).sign() <= 0:
+    if a * up <= b * down:                   # side <= hi / lam = kappa * r
         raise RuleError("radius too large: level-0 window violated")
     return 0
 

@@ -10,13 +10,16 @@ lower-bound arguments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import ONE, coord
+import numpy as np
+
+from .exact import ONE, ZERO, coord
 from .shapes import Box
 from .transforms import Similarity, fixed_point
-from .expand import (BudgetError, count_tiles, DEFAULT_TILE_BUDGET, prefix_table,
-                     _child_span, walk)
+from .expand import (BudgetError, count_tiles, DEFAULT_TILE_BUDGET, prefix_table, state_table,
+                     table_leaves, corner_incidence, on_box_boundary, _child_span, walk)
 from .rules import RuleError
 
 
@@ -126,6 +129,45 @@ class Gates:
                 transform.apply(self.end(rule_name, rev)))
 
 
+def gate_table(rs):
+    """Each state's entry and exit gate on the rule set's state table.
+
+    Returns (m, gates): gates[s] holds state s's entry and exit as integer
+    offsets from its min corner, in cells m times finer than the pitch of
+    its level, m the least that holds every gate.  Gates of a state are
+    fixed points of rational similarities, so they are rational; they are
+    computed exactly by `Gates` once per table.
+    """
+    table = state_table(rs)
+    if table.gates is None:
+        gates, cell = Gates(rs), table.p1 * table.k          # cell: the pitch of depth 0
+        offsets = []
+        for rule_name, ortho, rev in table.states:
+            # a state-s tile is s**depth * ortho(base) + t; its gates sit
+            # s**depth * (ortho(gate) - min corner of ortho(base)) from its min corner
+            turn = Similarity(ONE, ortho, (ZERO,) * rs.dim)
+            lo = rs.rules[rule_name].base.transform(turn).lo
+            for p in (gates.start(rule_name, rev), gates.end(rule_name, rev)):
+                offsets.append([(v - l).as_fraction() / cell for v, l in zip(turn.apply(p), lo)])
+        m = math.lcm(*(v.denominator for row in offsets for v in row))
+        table.gates = m, np.array([[int(v * m) for v in row] for row in offsets],
+                                  dtype=np.int64).reshape(len(table.states), 2, rs.dim)
+    return table.gates
+
+
+def _table_leaves(rs, depth, budget):
+    """The scanning-order leaves of a rule set with a state table as
+    integer boxes and gates: (lo, hi, entry, exit, m), the corners (n, d) in
+    cells of the level's pitch and the gates in cells m times finer."""
+    if count_tiles(rs, depth) > budget:
+        raise BudgetError("scan of depth %d exceeds tile budget" % depth)
+    table = state_table(rs)
+    corner, state = table_leaves(table, depth)
+    m, gates = gate_table(rs)
+    return (corner, corner + table.extent[state], m * corner + gates[state, 0],
+            m * corner + gates[state, 1], m)
+
+
 def entry_exit(rs, rule_name=None):
     """Exact (entry, exit) points of a rule (default: the unit rule)."""
     g = Gates(rs)
@@ -220,7 +262,13 @@ class ConnectionStats:
 
 
 def classify_connections(rs, depth, budget=DEFAULT_TILE_BUDGET):
-    """Classify every order-consecutive tile pair of the depth expansion."""
+    """Classify every order-consecutive tile pair of the depth expansion.
+
+    On a rule set with a state table all pairs are classified at once on
+    the integer leaves and gates; other rule sets walk exact transforms.
+    """
+    if state_table(rs) is not None:
+        return _classify_table(rs, depth, budget)
     gates = Gates(rs)
     stats = ConnectionStats()
     prev = None
@@ -233,6 +281,33 @@ def classify_connections(rs, depth, budget=DEFAULT_TILE_BUDGET):
             p_geom, p_exit = prev
             _classify_pair(stats, p_geom, geom, p_exit, entry)
         prev = (geom, exit_)
+    return stats
+
+
+def _classify_table(rs, depth, budget):
+    """`_classify_pair` on every consecutive pair of integer leaves at once."""
+    lo, hi, entry, exit_, _ = _table_leaves(rs, depth, budget)
+    stats = ConnectionStats()
+    gap = np.maximum(lo[:-1], lo[1:]) - np.minimum(hi[:-1], hi[1:])
+    contact = (gap < 0).sum(axis=1)
+    apart = (gap > 0).any(axis=1)
+    jump = apart | (exit_[:-1] != entry[1:]).any(axis=1)
+    # contact dims of the jumps, -1 for none, keyed in order of first occurrence
+    dims, first, counts = np.unique(np.where(apart, -1, contact)[jump], return_index=True,
+                                    return_counts=True)
+    for i in np.argsort(first):
+        stats.jump_contact_dims[None if dims[i] < 0 else int(dims[i])] = int(counts[i])
+    stats.jump = int(jump.sum())
+    joined = ~jump
+    if rs.dim == 2:
+        # an edge is shared along y (a "horizontal" connection) when the x gap is 0
+        edge = joined & (contact == 1)
+        stats.horizontal = int((edge & (gap[:, 0] == 0)).sum())
+        stats.vertical = int(edge.sum()) - stats.horizontal
+        stats.diagonal = int(joined.sum()) - int(edge.sum())
+    else:
+        stats.facet = int((joined & (contact == 2)).sum())
+        stats.diagonal = int(joined.sum()) - stats.facet
     return stats
 
 
@@ -287,8 +362,13 @@ def vertex_audit(rs, depth, budget=DEFAULT_TILE_BUDGET):
 
     Bridges are counted between scan-order-consecutive incident tiles; a
     bridge is degenerate exactly when the two tiles are globally consecutive
-    and connect at the vertex.
+    and connect at the vertex.  Vertices come in the scanning-order tile set's
+    `vertex_index` order.  On a rule set with a state table the leaves, their
+    incidence and their gates are integers; other rule sets walk exact
+    transforms.
     """
+    if state_table(rs) is not None:
+        return _audit_table(rs, depth, budget)
     gates = Gates(rs)
     leaves = list(scan_leaves(rs, depth, budget))
     from .expand import TileSet, Tile
@@ -316,3 +396,29 @@ def vertex_audit(rs, depth, budget=DEFAULT_TILE_BUDGET):
                 nondegenerate += 1
         audits.append(VertexAudit(p, len(incident), ends, degenerate, nondegenerate))
     return audits
+
+
+def _audit_table(rs, depth, budget):
+    """`vertex_audit` on the integer leaves, their `corner_incidence` and gates."""
+    lo, hi, entry, exit_, m = _table_leaves(rs, depth, budget)
+    _, points, start, tiles = corner_incidence(lo, hi)
+    count = np.diff(start)
+    point = np.repeat(np.arange(len(points)), count)
+    at = m * points[point]               # each incidence's vertex, in gate cells
+    enters, exits = (entry[tiles] == at).all(axis=1), (exit_[tiles] == at).all(axis=1)
+    ends = (np.bincount(point[enters], minlength=len(points))
+            + np.bincount(point[exits], minlength=len(points)))
+    # a bridge joins consecutive incidences of one vertex
+    degenerate = ((point[:-1] == point[1:]) & (tiles[1:] == tiles[:-1] + 1)
+                  & exits[:-1] & enters[1:])
+    degenerate = np.bincount(point[:-1][degenerate], minlength=len(points))
+    table = state_table(rs)
+    inner = ~on_box_boundary(points, 0, table.extent[0] * table.k ** depth)
+    points = points[inner]
+    # each coordinate value becomes a Coord once
+    pitch = table.p1 * Fraction(table.k) ** (1 - depth)
+    values = [{c: o + coord(pitch * c) for c in np.unique(points[:, a]).tolist()}
+              for a, o in enumerate(rs.unit_rule.base.lo)]
+    return [VertexAudit(tuple(v[c] for v, c in zip(values, p)), n, e, dg, n - 1 - dg)
+            for p, n, e, dg in zip(points.tolist(), count[inner].tolist(),
+                                   ends[inner].tolist(), degenerate[inner].tolist())]

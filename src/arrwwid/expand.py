@@ -1,7 +1,8 @@
 """The one tile-tree traversal (`walk`) and what is built on it: expansion
-into tile sets with exact vertex analysis.  Also the compiled integer state
-table of a uniform rectilinear rule set, the same descent on it in integers
-(`table_walk`) and the scan-order lattice raster expanded from it."""
+into tile sets with vertex analysis, in integers for boxes with rational
+corners.  Also the compiled integer state table of a uniform rectilinear rule
+set, the same descent on it in integers (`table_walk`), its leaves as integer
+arrays (`table_leaves`) and the scan-order lattice raster painted from them."""
 
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ class TileSet:
         self.depth = depth
         self.tiles = tiles
         self._vertex_index = None
+        self._lattice = None     # (den, points): the index's points times den, for boxes
 
     def __len__(self):
         return len(self.tiles)
@@ -59,29 +61,26 @@ class TileSet:
 
         Incidence means the point lies on the tile's closed boundary, so a
         T-junction stem counts even though the point is not one of its
-        corners.  Candidate tiles per point come from a float bucket grid;
-        membership is decided exactly.
+        corners.  Points come in order of first appearance, tile by tile.
+        Box tiles with rational coordinates are indexed in integers
+        (`corner_incidence`); polygons and sqrt(3) coordinates take candidate
+        tiles per point from a float bucket grid and decide membership
+        exactly.
         """
         if self._vertex_index is None:
-            index = {}
-            for i, t in enumerate(self.tiles):
-                for p in t.geometry.corners():
-                    index.setdefault(p, set()).add(i)
-            buckets, h = _bucket_tiles(self.tiles)
-            for p, incident in index.items():
-                fp = tuple(float(v) for v in p)
-                key = tuple(int(v // h) for v in fp)
-                seen = set()
-                for nb in _bucket_neighborhood(key, len(fp)):
-                    for i in buckets.get(nb, ()):
-                        if i in incident or i in seen:
-                            continue
-                        seen.add(i)
-                        g = self.tiles[i].geometry
-                        bb = g if isinstance(g, Box) else g.bounding_box()
-                        if bb.contains_point(p) and g.on_boundary(p):
-                            incident.add(i)
-            self._vertex_index = {p: sorted(s) for p, s in index.items()}
+            boxes = _lattice_boxes(self.tiles)
+            if boxes is None:
+                self._vertex_index = _exact_vertex_index(self.tiles)
+            else:
+                den, lo, hi = boxes
+                first, points, start, incident = corner_incidence(lo, hi)
+                d = lo.shape[1]
+                keys = [self.tiles[f >> d].geometry.corners()[f & ((1 << d) - 1)]
+                        for f in first.tolist()]
+                incident, start = incident.tolist(), start.tolist()
+                self._vertex_index = {p: incident[a:b]
+                                      for p, a, b in zip(keys, start, start[1:])}
+                self._lattice = den, points
         return self._vertex_index
 
     def total_measure(self):
@@ -89,6 +88,100 @@ class TileSet:
         for t in self.tiles:
             total = total + t.geometry.measure()
         return total
+
+
+def _exact_vertex_index(tiles):
+    """`TileSet.vertex_index` in exact arithmetic, for any tile geometry."""
+    index = {}
+    for i, t in enumerate(tiles):
+        for p in t.geometry.corners():
+            index.setdefault(p, set()).add(i)
+    buckets, h = _bucket_tiles(tiles)
+    for p, incident in index.items():
+        fp = tuple(float(v) for v in p)
+        key = tuple(int(v // h) for v in fp)
+        seen = set()
+        for nb in _bucket_neighborhood(key, len(fp)):
+            for i in buckets.get(nb, ()):
+                if i in incident or i in seen:
+                    continue
+                seen.add(i)
+                g = tiles[i].geometry
+                bb = g if isinstance(g, Box) else g.bounding_box()
+                if bb.contains_point(p) and g.on_boundary(p):
+                    incident.add(i)
+    return {p: sorted(s) for p, s in index.items()}
+
+
+def _lattice_boxes(tiles):
+    """(den, lo, hi): the tiles' boxes as int64 min and max corners (n, d)
+    in units of 1/den, or None for no tiles, a polygon, a sqrt(3) coordinate
+    or a value too large for int64."""
+    if not tiles or not all(isinstance(t.geometry, Box) for t in tiles):
+        return None
+    values = [v for t in tiles for v in t.geometry.lo + t.geometry.hi]
+    if any(v.b for v in values):
+        return None
+    den = math.lcm(*{v.c for v in values})
+    ints = [v.a * (den // v.c) for v in values]
+    if max(map(abs, ints)) >= 2 ** 61:
+        return None
+    boxes = np.array(ints, dtype=np.int64).reshape(len(tiles), 2, -1)
+    return den, boxes[:, 0], boxes[:, 1]
+
+
+def on_box_boundary(p, lo, hi):
+    """Whether integer points p lie on the closed boundary of the boxes with
+    min and max corners lo, hi (broadcast over the last axis)."""
+    return ((lo <= p) & (p <= hi)).all(axis=-1) & ((p == lo) | (p == hi)).any(axis=-1)
+
+
+def _ragged(counts):
+    """(owner, rank) of the flattened ragged rows of the given lengths."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def corner_incidence(lo, hi):
+    """The integer core of `TileSet.vertex_index` for boxes with min and
+    max corners lo, hi (n, d), n > 0.
+
+    Returns (first, points, start, boxes).  The distinct box corners come in
+    order of first appearance, box by box and each box's corners in
+    `Box.corners` order: first holds the flat index box * 2**d + corner of
+    each one's first appearance and points (p, d) the points themselves.  The
+    boxes whose closed boundary holds point j are boxes[start[j]:start[j + 1]],
+    ascending.
+    """
+    n, d = lo.shape
+    bits = np.array(list(itertools.product((False, True), repeat=d)))
+    corners = np.where(bits, hi[:, None], lo[:, None]).reshape(-1, d)
+    first = np.sort(np.unique(corners, axis=0, return_index=True)[1])
+    points = corners[first]
+    # File every box in each bucket of side h that its closed box meets: the
+    # boxes holding a point are then among those filed in the point's bucket.
+    # h is the smallest box extent, coarsened to keep 2**20 buckets per axis.
+    origin = lo.min(axis=0)
+    reach = hi.max(axis=0) - origin
+    h = max(int((hi - lo).min()), int(reach.max()) // 2 ** 20 + 1)
+    grid = reach // h + 1
+    stride = np.array([math.prod(grid[a + 1:].tolist()) for a in range(d)], dtype=np.int64)
+    blo, bhi = (lo - origin) // h, (hi - origin) // h
+    span = bhi - blo + 1
+    box, rest = _ragged(span.prod(axis=1))
+    key = np.zeros(len(box), dtype=np.int64)
+    for a in reversed(range(d)):        # rest in the mixed radix of the box's spans
+        key += (blo[box, a] + rest % span[box, a]) * stride[a]
+        rest //= span[box, a]
+    order = np.argsort(key, kind="stable")          # keeps boxes ascending per bucket
+    key, box = key[order], box[order]
+    wanted = ((points - origin) // h) @ stride
+    left = np.searchsorted(key, wanted)
+    point, rank = _ragged(np.searchsorted(key, wanted, side="right") - left)
+    box = box[left[point] + rank]
+    keep = on_box_boundary(points[point], lo[box], hi[box])
+    point, box = point[keep], box[keep]
+    return first, points, np.searchsorted(point, np.arange(len(points) + 1)), box
 
 
 def _bucket_tiles(tiles):
@@ -240,14 +333,27 @@ class DegreeMap:
 def vertex_degrees(ts):
     """Degree (number of interior-disjoint tiles meeting) at every vertex."""
     unit_base = ts.ruleset.unit_rule.base
+    index = ts.vertex_index
+    on_unit = _lattice_on_boundary(unit_base, ts._lattice)
+    if on_unit is None:
+        on_unit = [unit_base.on_boundary(p) for p in index]
     interior, boundary = {}, {}
-    for p, incident in ts.vertex_index.items():
-        deg = len(incident)
-        if unit_base.on_boundary(p):
-            boundary[p] = deg
-        else:
-            interior[p] = deg
+    for (p, incident), edge in zip(index.items(), on_unit):
+        (boundary if edge else interior)[p] = len(incident)
     return DegreeMap(interior, boundary)
+
+
+def _lattice_on_boundary(box, lattice):
+    """Whether each of an integer index's points lies on the box's closed
+    boundary, or None without an integer index or a box on its lattice."""
+    if lattice is None or not isinstance(box, Box):
+        return None
+    den, points = lattice
+    scaled = [v * den for v in box.lo + box.hi]
+    if any(v.b or v.c != 1 for v in scaled):
+        return None
+    lo, hi = np.array([v.a for v in scaled]).reshape(2, -1)
+    return on_box_boundary(points, lo, hi).tolist()
 
 
 # -- compiled state table and the integer scan raster ------------------------
@@ -275,6 +381,7 @@ class StateTable:
         self.k = k
         self.p1 = p1
         self.slots = None        # table_walk's per-state child lists
+        self.gates = None        # curves.gate_table's (m, gates)
 
 
 def state_table(rs):
@@ -433,6 +540,24 @@ def lattice_pitch(rs, depth):
     return table.p1 / table.k ** max(depth - 1, 0)
 
 
+def table_leaves(table, depth):
+    """The leaves of the depth-`depth` expansion, in scanning order, from a
+    state table, one numpy step per level.
+
+    Returns (corner, state): int64 min corners (n, d) in cells of the
+    level's pitch (`p1 * k**(1 - depth)`) from the unit's min corner, and
+    the leaves' states (n,).  A leaf of state s spans `table.extent[s]` cells.
+    """
+    # axis first, so that numpy's inner loops run along the children
+    offs = np.ascontiguousarray(table.offs.transpose(2, 0, 1))
+    corner = np.zeros((len(offs), 1), dtype=np.int64)
+    state = np.zeros(1, dtype=np.int32)
+    for _ in range(depth):
+        corner = (table.k * corner[:, :, None] + offs[:, state]).reshape(len(offs), -1)
+        state = table.kids[state].reshape(-1)
+    return corner.T, state
+
+
 def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """Scanning positions painted on the cut lattice of a rectilinear expansion.
 
@@ -449,14 +574,10 @@ def scan_raster(rs, depth, budget=DEFAULT_TILE_BUDGET):
     shape = [int(e) * table.k ** max(depth, 1) for e in table.extent[0]]
     if math.prod(shape) > budget * 64:
         raise BudgetError("raster of %s cells exceeds budget" % shape)
-    # Raster cells are numbered in C order, and a tile's min corner is linear in
-    # its ancestors' offsets, so the level loop runs on cell numbers directly.
+    # raster cells are numbered in C order
     strides = np.array([math.prod(shape[a + 1:]) for a in range(rs.dim)], dtype=np.int64)
-    offs = table.offs @ strides
-    pos, state = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
-    for _ in range(depth):
-        pos = (table.k * pos[:, None] + offs[state]).reshape(-1)
-        state = table.kids[state].reshape(-1)
+    corner, state = table_leaves(table, depth)
+    pos = corner @ strides
     # cells[s] numbers the cells of a state-s leaf from its min corner, padded
     # by repeating the first; a depth-0 raster has the pitch of depth 1, so
     # its one tile spans k leaf extents

@@ -140,7 +140,6 @@ def _catalog_daun_packing_key():
     return Packing(16, Fraction(3, 2), (12, 8), pieces).canonical_key()
 
 
-@pytest.mark.slow
 def test_criterion_6_rect_search():
     t0 = time.time()
     rep = search_min_rect_tiling(16)

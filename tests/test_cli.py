@@ -190,3 +190,47 @@ def test_format_rejected_where_it_is_not_read(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == "" and "--format" in captured.err
+
+
+def _connections_json(name, depth):
+    from test_lattice_analyses import exact_catalog
+    return exact_catalog(name, depth).connections
+
+
+def _degrees_json(name, depth):
+    from test_lattice_analyses import _exact_degrees, _exact_vertex_index
+    from arrwwid.expand import expand
+    rs = catalog.builtin(name).ruleset
+    interior, boundary = _exact_degrees(rs, _exact_vertex_index(expand(rs, depth).tiles))
+    return {"max_interior_degree": max((d for _, d in interior), default=0),
+            "max_boundary_degree": max((d for _, d in boundary), default=0),
+            "interior_vertices": len(interior)}
+
+
+def _audit_json(name, depth):
+    from test_lattice_analyses import exact_catalog
+    rows = exact_catalog(name, depth).audits
+    return {"vertices": len(rows),
+            "max_tiles_v": max((tiles for _, tiles, _, _, _ in rows), default=0),
+            "min_ends_v": min((ends for _, _, ends, _, _ in rows), default=0),
+            "vertices_with_degenerate_bridge": sum(1 for row in rows if row[3] > 0)}
+
+
+def _cli_case(cmd, flag, name, depth, want, *marks):
+    return pytest.param(cmd, flag, name, depth, want, marks=marks,
+                        id="%s-%s-%d" % (cmd, name, depth))
+
+
+@pytest.mark.parametrize("cmd,flag,name,depth,want", [
+    _cli_case("connections", "--order", "kochel", 2, _connections_json),
+    _cli_case("connections", "--order", "dekking", 2, _connections_json),
+    _cli_case("degrees", "--tiling", "daun", 2, _degrees_json),
+    _cli_case("degrees", "--tiling", "lifted-daun", 1, _degrees_json),
+    _cli_case("audit", "--order", "coil3d", 2, _audit_json),
+    # the exact audit of 15,625 tiles takes seconds
+    _cli_case("audit", "--order", "dekking", 3, _audit_json, pytest.mark.slow),
+])
+def test_analysis_stdout_is_the_json_of_the_exact_paths(capsys, cmd, flag, name, depth, want):
+    code, out = run(capsys, cmd, flag, name, "--depth", str(depth))
+    assert code == 0
+    assert out == json.dumps(want(name, depth), indent=2) + "\n"
