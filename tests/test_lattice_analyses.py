@@ -22,7 +22,7 @@ from arrwwid.cover import canonical_level, reference_side, subdivision_ratio
 from arrwwid.curves import (ConnectionStats, Gates, classify_connections, gate_table,
                             scan_leaves, vertex_audit)
 from arrwwid.exact import ONE, Coord, coord
-from arrwwid.expand import (Tile, TileSet, count_tiles, expand, state_table, table_leaves,
+from arrwwid.expand import (BudgetError, Tile, TileSet, count_tiles, expand, state_table, table_leaves,
                             table_walk, vertex_degrees)
 from arrwwid.rules import RuleError, parse_ruleset
 from arrwwid.shapes import Box
@@ -219,6 +219,46 @@ def test_polygon_tiles_keep_the_exact_index():
     ts = TileSet(None, 1, turned)
     assert list(ts.vertex_index.items()) == list(_exact_vertex_index(turned).items())
     assert ts._lattice is None
+
+
+def _box_tiles(boxes):
+    return [Tile((i,), "A", None, Box(lo, hi), False) for i, (lo, hi) in enumerate(boxes)]
+
+
+def _brute_vertex_index(tiles):
+    """Every corner, in order of first appearance, with every tile whose
+    closed boundary holds it, tested one tile at a time."""
+    points = dict.fromkeys(p for t in tiles for p in t.geometry.corners())
+    return [(p, [i for i, t in enumerate(tiles) if t.geometry.on_boundary(p)]) for p in points]
+
+
+def test_corners_past_int64_keep_the_exact_index():
+    # corners near 2**62 do not fit the integer index's int64 arrays
+    x = 2 ** 62
+    tiles = _box_tiles((((x, 0), (x + 1, 1)), ((x + 1, 0), (x + 2, Fraction(1, 2))),
+                        ((x + 1, Fraction(1, 2)), (x + 2, 1))))
+    ts = TileSet(None, 1, tiles)
+    assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
+    assert ts._lattice is None
+
+
+def test_boxes_of_very_different_sizes_are_indexed():
+    # one box 2**40 times wider than the rest: filed on the buckets of the
+    # smallest extent it would take 2**40 of them
+    w = 2 ** 40
+    tiles = _box_tiles([((0, 0), (w, 1))] + [((w + i, j), (w + i + 1, j + 1))
+                                             for i in range(3) for j in range(2)]
+                       + [((0, 1), (w + 3, 2))])
+    ts = TileSet(None, 1, tiles)
+    assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
+    assert ts._lattice is not None
+
+
+@pytest.mark.parametrize("analysis", [classify_connections, vertex_audit])
+def test_budget_is_checked_before_the_integer_leaves(hilbert, analysis):
+    assert analysis(hilbert, 3, budget=64) is not None
+    with pytest.raises(BudgetError, match="scan of depth 3 exceeds tile budget"):
+        analysis(hilbert, 3, budget=63)
 
 
 def _depths(entry):
