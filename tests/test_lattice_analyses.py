@@ -166,10 +166,14 @@ def _assert_expansion_index_matches_exact(rs, depth):
 
 # -- the integer paths against the oracles -----------------------------------
 
+def _depths(entry):
+    return range(4 if entry.dim == 2 else 3)
+
+
 def _catalog_cases():
     for name in catalog.names():
         entry = catalog.builtin(name)
-        for depth in range(4 if entry.dim == 2 else 3):
+        for depth in _depths(entry):
             # the exact index takes seconds past a few thousand tiles
             big = count_tiles(entry.ruleset, depth) > 2000
             yield pytest.param(name, depth, marks=[pytest.mark.slow] if big else [],
@@ -196,7 +200,8 @@ def test_analyses_match_exact_paths_under_square_symmetries(name, rot, reflect):
 
 
 @pytest.mark.parametrize("text,table", [(OFF_LATTICE, False), (CHILD_OUTSIDE, False),
-                                        (BELOW_LEVEL_ONE, True), (OFF_ORIGIN, True)])
+                                        (BELOW_LEVEL_ONE, True), (OFF_ORIGIN, True)],
+                         ids=["off-lattice", "child-outside", "below-level-one", "off-origin"])
 def test_hand_built_sets_match_exact_paths(monkeypatch, text, table):
     rs = parse_ruleset(text)
     assert (state_table(rs) is not None) == table
@@ -206,8 +211,7 @@ def test_hand_built_sets_match_exact_paths(monkeypatch, text, table):
             raise AssertionError("integer leaves built for a set without a table")
         monkeypatch.setattr(curves, "_table_leaves", refuse)
     for depth in (0, 1, 2, 3):
-        want = Exact(rs, depth)
-        _assert_matches_exact(rs, depth, want)
+        _assert_matches_exact(rs, depth, Exact(rs, depth))
         _assert_expansion_index_matches_exact(rs, depth)
 
 
@@ -259,10 +263,6 @@ def test_budget_is_checked_before_the_integer_leaves(hilbert, analysis):
     assert analysis(hilbert, 3, budget=64) is not None
     with pytest.raises(BudgetError, match="scan of depth 3 exceeds tile budget"):
         analysis(hilbert, 3, budget=63)
-
-
-def _depths(entry):
-    return range(4 if entry.dim == 2 else 3)
 
 
 @pytest.mark.parametrize("name", catalog.names())
