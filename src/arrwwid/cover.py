@@ -170,30 +170,23 @@ def canonical_level(rs, r, kappa=Fraction(2), max_level=64):
     """Unique level where the tile's reference side is in (kappa*r, kappa*lam*r].
 
     kappa defaults to the window used for regular square tilings; catalog
-    entries carry their own constants.  The comparisons run on integers when
-    every value is rational.
+    entries carry their own constants.  The comparisons run on Fractions
+    when every value is rational.
     """
     r, kappa = _exact(r), _exact(kappa)
     if r <= 0:
         raise ValueError("radius must be positive")
     side, lam = _level_constants(rs)
     hi = kappa * lam * r
-    # level k has reference side side / lam**k; with side / hi = a / b and
-    # lam = up / down it is at most hi exactly when a * down**k <= b * up**k
-    if all(isinstance(v, Fraction) for v in (side, lam, hi)):
-        a, b = side.numerator * hi.denominator, hi.numerator * side.denominator
-        up, down = lam.numerator, lam.denominator
-    else:
-        a, b, up, down = coord(side), coord(hi), coord(lam), ONE
-    if a > b:
+    if side > hi:
         k = 0
-        while a > b:
-            a, b = a * down, b * up
+        while side > hi:                     # level k's side is side / lam**k
+            hi = hi * lam
             k += 1
             if k > max_level:
                 raise RuleError("no canonical level below %d" % max_level)
         return k
-    if a * up <= b * down:                   # side <= hi / lam = kappa * r
+    if side * lam <= hi:                     # side <= hi / lam = kappa * r
         raise RuleError("radius too large: level-0 window violated")
     return 0
 

@@ -160,19 +160,14 @@ def corner_incidence(lo, hi):
     points = corners[first]
     # File every box in each bucket of side h that its closed box meets: the
     # boxes holding a point are then among those filed in the point's bucket.
-    # h starts at the smallest box extent, at least 1/2**20 of the reach, and
-    # doubles while boxes of very different sizes fill 4 * 2**d buckets each.
+    # h is the smallest box extent.  Buckets are numbered row-major; on a
+    # grid too large for int64 the numbers wrap, which only files more boxes
+    # under one number.
     origin = lo.min(axis=0)
-    reach = hi.max(axis=0) - origin
-    h = max(int((hi - lo).min()), int(reach.max()) // 2 ** 20 + 1)
-    while True:
-        blo, bhi = (lo - origin) // h, (hi - origin) // h
-        span = bhi - blo + 1
-        if span.prod(axis=1).sum() <= 4 * 2 ** d * n:
-            break
-        h *= 2
-    grid = reach // h + 1
-    stride = np.array([math.prod(grid[a + 1:].tolist()) for a in range(d)], dtype=np.int64)
+    h = max(int((hi - lo).min()), 1)
+    blo, bhi = (lo - origin) // h, (hi - origin) // h
+    span = bhi - blo + 1
+    stride = np.cumprod(np.append(1, bhi.max(axis=0)[:0:-1] + 1))[::-1]
     box, rest = _ragged(span.prod(axis=1))
     key = np.zeros(len(box), dtype=np.int64)
     for a in reversed(range(d)):        # rest in the mixed radix of the box's spans

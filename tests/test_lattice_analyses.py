@@ -246,13 +246,13 @@ def test_corners_past_int64_keep_the_exact_index():
     assert ts._lattice is None
 
 
-def test_boxes_of_very_different_sizes_are_indexed():
-    # one box 2**40 times wider than the rest: filed on the buckets of the
-    # smallest extent it would take 2**40 of them
-    w = 2 ** 40
-    tiles = _box_tiles([((0, 0), (w, 1))] + [((w + i, j), (w + i + 1, j + 1))
-                                             for i in range(3) for j in range(2)]
-                       + [((0, 1), (w + 3, 2))])
+def test_boxes_far_apart_are_indexed():
+    # unit boxes 2**32 apart on each axis: the row-major bucket numbers of
+    # their grid pass int64 and wrap
+    far = 2 ** 32
+    tiles = _box_tiles([((0, 0, 0), (1, 1, 1)), ((far, 0, 0), (far + 1, 1, 1)),
+                        ((0, far, 0), (1, far + 1, 1)), ((0, 0, far), (1, 1, far + 1)),
+                        ((1, 0, 0), (2, 1, 1))])
     ts = TileSet(None, 1, tiles)
     assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
     assert ts._lattice is not None
@@ -360,3 +360,17 @@ def test_canonical_level_with_an_irrational_radius(hilbert):
                      (Fraction(1, 30), Coord(0, 1)), (Coord(0, 1, 10 ** 30), 2)):
         want = _outcome(_exact_canonical_level, hilbert, r, kappa)
         assert _outcome(canonical_level, hilbert, r, kappa) == want
+
+
+def test_canonical_level_with_an_irrational_reference_side():
+    # turned by 30 degrees, the unit's reference side is (1 + sqrt(3)) / 2
+    rs = _conjugate(catalog.builtin("hilbert").ruleset, Ortho(2, 1, False))
+    assert not reference_side(rs).is_rational
+    rng = random.Random(30)
+    outcomes = set()
+    for kappa in (Fraction(2), Fraction(3)):
+        for r in _radii(catalog.builtin("hilbert").ruleset, kappa, rng):
+            want = _outcome(_exact_canonical_level, rs, r, kappa)
+            assert _outcome(canonical_level, rs, r, kappa) == want
+            outcomes.add(want if isinstance(want, tuple) else "level")
+    assert len(outcomes) == 3
