@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ZERO, ONE, Coord, coord
-from .shapes import Box
 from .rules import RuleError
 from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, prefix_table, scan_raster,
                      state_table, table_walk, walk, _vertex_stats_grid)
@@ -137,14 +136,11 @@ def subdivision_ratio(rs):
 
 def reference_side(rs):
     """Smallest extent of the unit base shape."""
-    base = rs.unit_rule.base
-    if isinstance(base, Box):
-        return min(base.extent())
-    bb = base.bounding_box()
-    return min(bb.extent())
+    return min(rs.unit_rule.base.bounding_box().extent())
 
 
 _LEVEL_CACHE = weakref.WeakKeyDictionary()
+MAX_LEVEL = 64                  # the deepest canonical level searched
 
 
 def _level_constants(rs):
@@ -166,7 +162,7 @@ def _exact(x):
     return Fraction(x)
 
 
-def canonical_level(rs, r, kappa=Fraction(2), max_level=64):
+def canonical_level(rs, r, kappa=Fraction(2)):
     """Unique level where the tile's reference side is in (kappa*r, kappa*lam*r].
 
     kappa defaults to the window used for regular square tilings; catalog
@@ -183,8 +179,8 @@ def canonical_level(rs, r, kappa=Fraction(2), max_level=64):
         while side > hi:                     # level k's side is side / lam**k
             hi = hi * lam
             k += 1
-            if k > max_level:
-                raise RuleError("no canonical level below %d" % max_level)
+            if k > MAX_LEVEL:
+                raise RuleError("no canonical level below %d" % MAX_LEVEL)
         return k
     if side * lam <= hi:                     # side <= hi / lam = kappa * r
         raise RuleError("radius too large: level-0 window violated")
@@ -246,8 +242,7 @@ def _exact_misses(rs, q):
     rules = rs.rules
 
     def misses(address, rule_name, transform, rev, lo, length):
-        geom = rules[rule_name].base.transform(transform)
-        return not q.intersects_box(geom if isinstance(geom, Box) else geom.bounding_box())
+        return not q.intersects_box(rules[rule_name].base.transform(transform).bounding_box())
 
     return misses
 
@@ -428,7 +423,7 @@ def window_radii(rs, depth, kappa, n):
     return out
 
 
-def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
+def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=True,
                      budget=DEFAULT_TILE_BUDGET):
     """Worst cover counts over the plan's queries, with witnesses.
 
@@ -438,8 +433,6 @@ def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=None,
     balls always go through the exact cover path.
     """
     plan = plan or SamplePlan()
-    if is_order is None:
-        is_order = True
     max_tiles, tiles_w = 0, None
     max_frag, frag_w = 0, None
 

@@ -19,7 +19,8 @@ from .exact import ONE, ZERO, coord
 from .shapes import Box
 from .transforms import Similarity, fixed_point
 from .expand import (BudgetError, count_tiles, DEFAULT_TILE_BUDGET, prefix_table, state_table,
-                     table_leaves, corner_incidence, on_box_boundary, _child_span, walk)
+                     table_leaves, corner_incidence, on_box_boundary, on_unit_boundary,
+                     rank_incidence, Ranks, _child_span, walk)
 from .rules import RuleError
 
 
@@ -168,6 +169,35 @@ def _table_leaves(rs, depth, budget):
             m * corner + gates[state, 1], m)
 
 
+def _ranked_leaves(rs, depth, budget):
+    """`_table_leaves` for a rule set without a state table, from the exact
+    walk, with m = 1: the leaves' corners, their gates and the unit box are
+    ranked together on each axis (`expand.Ranks`), and lo, hi are the ranks
+    of the leaves' bounding boxes.  Also returns (geoms, corners, ranks) for
+    `rank_incidence`."""
+    leaves = list(scan_leaves(rs, depth, budget))
+    gates = Gates(rs)
+    geoms = [rs.rules[rule_name].base.transform(tr) for _, rule_name, tr, _ in leaves]
+    ends = [gates.of_tile(tr, rule_name, rev) for _, rule_name, tr, rev in leaves]
+    corners = [g.corners() for g in geoms]
+    unit = rs.unit_rule.base.bounding_box()
+    ranks = Ranks([p for cs in corners for p in cs] + [p for e in ends for p in e]
+                  + [unit.lo, unit.hi])
+    boxes = [g.bounding_box() for g in geoms]
+    entry, exit_ = zip(*ends)
+    return (ranks.of([b.lo for b in boxes]), ranks.of([b.hi for b in boxes]),
+            ranks.of(entry), ranks.of(exit_), 1, (geoms, corners, ranks))
+
+
+def _leaves(rs, depth, budget):
+    """The depth expansion's scanning-order leaves in integers: (lo, hi,
+    entry, exit, m, ranked), from the state table when the rule set has
+    one (ranked None), else by rank (`_ranked_leaves`)."""
+    if state_table(rs) is not None:
+        return _table_leaves(rs, depth, budget) + (None,)
+    return _ranked_leaves(rs, depth, budget)
+
+
 def entry_exit(rs, rule_name=None):
     """Exact (entry, exit) points of a rule (default: the unit rule)."""
     g = Gates(rs)
@@ -209,8 +239,7 @@ def _descend(rs, x, eps, upper):
     lo, length = Fraction(0), Fraction(1)
     eps_sq = coord(eps * eps)
     while True:
-        geom = rs.rules[rule_name].base.transform(transform)
-        bb = geom if isinstance(geom, Box) else geom.bounding_box()
+        bb = rs.rules[rule_name].base.transform(transform).bounding_box()
         if (bb.diameter_sq() - eps_sq).sign() < 0:
             return bb.center()
         rule = rs.rules[rule_name]
@@ -264,33 +293,18 @@ class ConnectionStats:
 def classify_connections(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """Classify every order-consecutive tile pair of the depth expansion.
 
-    On a rule set with a state table all pairs are classified at once on
-    the integer leaves and gates; other rule sets walk exact transforms.
+    All pairs are classified at once on the integer leaves and gates
+    (`_leaves`): per axis the gap max(lo) - min(hi), the contact dimension
+    the number of negative gaps, or None when a gap is positive.
     """
-    if state_table(rs) is not None:
-        return _classify_table(rs, depth, budget)
-    gates = Gates(rs)
-    stats = ConnectionStats()
-    prev = None
-    for addr, rule_name, transform, rev in scan_leaves(rs, depth, budget):
-        geom = rs.rules[rule_name].base.transform(transform)
-        if not isinstance(geom, Box):
-            raise RuleError("connection classification supports box tiles only")
-        entry, exit_ = gates.of_tile(transform, rule_name, rev)
-        if prev is not None:
-            p_geom, p_exit = prev
-            _classify_pair(stats, p_geom, geom, p_exit, entry)
-        prev = (geom, exit_)
-    return stats
-
-
-def _classify_table(rs, depth, budget):
-    """`_classify_pair` on every consecutive pair of integer leaves at once."""
-    lo, hi, entry, exit_, _ = _table_leaves(rs, depth, budget)
+    lo, hi, entry, exit_, _, ranked = _leaves(rs, depth, budget)
+    if ranked is not None and not all(isinstance(g, Box) for g in ranked[0]):
+        raise RuleError("connection classification supports box tiles only")
     stats = ConnectionStats()
     gap = np.maximum(lo[:-1], lo[1:]) - np.minimum(hi[:-1], hi[1:])
     contact = (gap < 0).sum(axis=1)
     apart = (gap > 0).any(axis=1)
+    # gates that differ or boxes that do not touch make a jump
     jump = apart | (exit_[:-1] != entry[1:]).any(axis=1)
     # contact dims of the jumps, -1 for none, keyed in order of first occurrence
     dims, first, counts = np.unique(np.where(apart, -1, contact)[jump], return_index=True,
@@ -309,34 +323,6 @@ def _classify_table(rs, depth, budget):
         stats.facet = int((joined & (contact == 2)).sum())
         stats.diagonal = int(joined.sum()) - stats.facet
     return stats
-
-
-def _classify_pair(stats, geom_a, geom_b, exit_a, entry_b):
-    contact = geom_a.shared_boundary_dim(geom_b)
-    if exit_a != entry_b:
-        stats.jump += 1
-        stats.jump_contact_dims[contact] = stats.jump_contact_dims.get(contact, 0) + 1
-        return
-    dim = geom_a.dim
-    if contact is None:
-        # gates agree but closures are disjoint: cannot happen for valid tilings
-        stats.jump += 1
-        stats.jump_contact_dims[None] = stats.jump_contact_dims.get(None, 0) + 1
-        return
-    if dim == 2:
-        if contact == 1:
-            # find degenerate axis: x-degenerate means a shared vertical edge
-            if (max(geom_a.lo[0], geom_b.lo[0]) - min(geom_a.hi[0], geom_b.hi[0])).sign() == 0:
-                stats.horizontal += 1
-            else:
-                stats.vertical += 1
-        else:
-            stats.diagonal += 1
-    else:
-        if contact == 2:
-            stats.facet += 1
-        else:
-            stats.diagonal += 1
 
 
 # -- vertex audits --------------------------------------------------------------------
@@ -363,47 +349,12 @@ def vertex_audit(rs, depth, budget=DEFAULT_TILE_BUDGET):
     Bridges are counted between scan-order-consecutive incident tiles; a
     bridge is degenerate exactly when the two tiles are globally consecutive
     and connect at the vertex.  Vertices come in the scanning-order tile set's
-    `vertex_index` order.  On a rule set with a state table the leaves, their
-    incidence and their gates are integers; other rule sets walk exact
-    transforms.
+    `vertex_index` order.  The leaves, their incidence and their gates are
+    integers (`_leaves`).
     """
-    if state_table(rs) is not None:
-        return _audit_table(rs, depth, budget)
-    gates = Gates(rs)
-    leaves = list(scan_leaves(rs, depth, budget))
-    from .expand import TileSet, Tile
-    tiles = [Tile(addr, rule, tr, rs.rules[rule].base.transform(tr), rev)
-             for addr, rule, tr, rev in leaves]
-    ts = TileSet(rs, depth, tiles)
-    unit_base = rs.unit_rule.base
-    tile_gates = [gates.of_tile(tr, rule, rev) for _, rule, tr, rev in leaves]
-    audits = []
-    for p, incident in ts.vertex_index.items():
-        if unit_base.on_boundary(p):
-            continue
-        ends = 0
-        for i in incident:
-            entry, exit_ = tile_gates[i]
-            if entry == p:
-                ends += 1
-            if exit_ == p:
-                ends += 1
-        degenerate = nondegenerate = 0
-        for a, b in zip(incident, incident[1:]):
-            if b == a + 1 and tile_gates[a][1] == p and tile_gates[b][0] == p:
-                degenerate += 1
-            else:
-                nondegenerate += 1
-        audits.append(VertexAudit(p, len(incident), ends, degenerate, nondegenerate))
-    return audits
-
-
-def _audit_table(rs, depth, budget):
-    """`vertex_audit` on the integer leaves, their `corner_incidence` and gates."""
-    lo, hi, entry, exit_, m = _table_leaves(rs, depth, budget)
-    _, points, start, tiles = corner_incidence(lo, hi)
-    count = np.diff(start)
-    point = np.repeat(np.arange(len(points)), count)
+    lo, hi, entry, exit_, m, ranked = _leaves(rs, depth, budget)
+    points, point, tiles, inner, values = _vertices(rs, depth, lo, hi, ranked)
+    count = np.bincount(point, minlength=len(points))
     at = m * points[point]               # each incidence's vertex, in gate cells
     enters, exits = (entry[tiles] == at).all(axis=1), (exit_[tiles] == at).all(axis=1)
     ends = (np.bincount(point[enters], minlength=len(points))
@@ -412,13 +363,26 @@ def _audit_table(rs, depth, budget):
     degenerate = ((point[:-1] == point[1:]) & (tiles[1:] == tiles[:-1] + 1)
                   & exits[:-1] & enters[1:])
     degenerate = np.bincount(point[:-1][degenerate], minlength=len(points))
-    table = state_table(rs)
-    inner = ~on_box_boundary(points, 0, table.extent[0] * table.k ** depth)
-    points = points[inner]
-    # each coordinate value becomes a Coord once
-    pitch = table.p1 * Fraction(table.k) ** (1 - depth)
-    values = [{c: o + coord(pitch * c) for c in np.unique(points[:, a]).tolist()}
-              for a, o in enumerate(rs.unit_rule.base.lo)]
     return [VertexAudit(tuple(v[c] for v, c in zip(values, p)), n, e, dg, n - 1 - dg)
-            for p, n, e, dg in zip(points.tolist(), count[inner].tolist(),
+            for p, n, e, dg in zip(points[inner].tolist(), count[inner].tolist(),
                                    ends[inner].tolist(), degenerate[inner].tolist())]
+
+
+def _vertices(rs, depth, lo, hi, ranked):
+    """The vertex incidence of `_leaves`: (points, point, tiles, inner,
+    values), the points and incidence pairs of `corner_incidence`, whether
+    each point is off the unit's boundary, and per axis a map from a point's
+    integer coordinate to its exact value."""
+    if ranked is None:
+        table = state_table(rs)
+        _, points, point, tiles = corner_incidence(lo, hi)
+        inner = ~on_box_boundary(points, 0, table.extent[0] * table.k ** depth)
+        # each coordinate value becomes a Coord once
+        pitch = table.p1 * Fraction(table.k) ** (1 - depth)
+        values = [{c: o + coord(pitch * c) for c in np.unique(points[:, a]).tolist()}
+                  for a, o in enumerate(rs.unit_rule.base.lo)]
+        return points, point, tiles, inner, values
+    geoms, corners, ranks = ranked
+    keys, points, point, tiles = rank_incidence(geoms, corners, ranks)
+    return (points, point, tiles, ~on_unit_boundary(rs.unit_rule.base, ranks, points, keys),
+            ranks.axes)

@@ -1,8 +1,9 @@
 """The one tile-tree traversal (`walk`) and what is built on it: expansion
-into tile sets with vertex analysis, in integers for boxes with rational
-corners.  Also the compiled integer state table of a uniform rectilinear rule
-set, the same descent on it in integers (`table_walk`), its leaves as integer
-arrays (`table_leaves`) and the scan-order lattice raster painted from them."""
+into tile sets with vertex analysis, in integers on the ranks of the exact
+coordinates.  Also the compiled integer state table of a uniform rectilinear
+rule set, the same descent on it in integers (`table_walk`), its leaves as
+integer arrays (`table_leaves`) and the scan-order lattice raster painted
+from them."""
 
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ class TileSet:
         self.depth = depth
         self.tiles = tiles
         self._vertex_index = None
-        self._lattice = None     # (den, points): the index's points times den, for boxes
+        self._ranks = None       # (ranks, points): the index's points as ranks, for degrees
 
     def __len__(self):
         return len(self.tiles)
@@ -62,25 +63,23 @@ class TileSet:
         Incidence means the point lies on the tile's closed boundary, so a
         T-junction stem counts even though the point is not one of its
         corners.  Points come in order of first appearance, tile by tile.
-        Box tiles with rational coordinates are indexed in integers
-        (`corner_incidence`); polygons and sqrt(3) coordinates take candidate
-        tiles per point from a float bucket grid and decide membership
-        exactly.
+        The index runs in integers on the ranks of the tiles' corners
+        (`rank_incidence`); the unit box is ranked along for
+        `vertex_degrees`.
         """
         if self._vertex_index is None:
-            boxes = _lattice_boxes(self.tiles)
-            if boxes is None:
-                self._vertex_index = _exact_vertex_index(self.tiles)
-            else:
-                den, lo, hi = boxes
-                first, points, start, incident = corner_incidence(lo, hi)
-                d = lo.shape[1]
-                keys = [self.tiles[f >> d].geometry.corners()[f & ((1 << d) - 1)]
-                        for f in first.tolist()]
-                incident, start = incident.tolist(), start.tolist()
-                self._vertex_index = {p: incident[a:b]
-                                      for p, a, b in zip(keys, start, start[1:])}
-                self._lattice = den, points
+            geoms = [t.geometry for t in self.tiles]
+            corners = [g.corners() for g in geoms]
+            values = [p for cs in corners for p in cs]
+            if self.ruleset is not None:
+                unit = self.ruleset.unit_rule.base.bounding_box()
+                values += [unit.lo, unit.hi]
+            ranks = Ranks(values)
+            keys, points, point, incident = rank_incidence(geoms, corners, ranks)
+            start = np.searchsorted(point, np.arange(len(keys) + 1)).tolist()
+            incident = incident.tolist()
+            self._vertex_index = {p: incident[a:b] for p, a, b in zip(keys, start, start[1:])}
+            self._ranks = ranks, points
         return self._vertex_index
 
     def total_measure(self):
@@ -90,44 +89,58 @@ class TileSet:
         return total
 
 
-def _exact_vertex_index(tiles):
-    """`TileSet.vertex_index` in exact arithmetic, for any tile geometry."""
-    index = {}
-    for i, t in enumerate(tiles):
-        for p in t.geometry.corners():
-            index.setdefault(p, set()).add(i)
-    buckets, h = _bucket_tiles(tiles)
-    for p, incident in index.items():
-        fp = tuple(float(v) for v in p)
-        key = tuple(int(v // h) for v in fp)
-        seen = set()
-        for nb in _bucket_neighborhood(key, len(fp)):
-            for i in buckets.get(nb, ()):
-                if i in incident or i in seen:
-                    continue
-                seen.add(i)
-                g = tiles[i].geometry
-                bb = g if isinstance(g, Box) else g.bounding_box()
-                if bb.contains_point(p) and g.on_boundary(p):
-                    incident.add(i)
-    return {p: sorted(s) for p, s in index.items()}
+class Ranks:
+    """Exact coordinates replaced by their ranks, one axis at a time.
+
+    `axes[a]` lists the distinct values on axis a of the points given, in
+    ascending order, and `of` replaces each coordinate of such points by its
+    index there.  A comparison or an equality of two values on one axis has
+    the same outcome on their ranks, which is every test the integer
+    analyses make; sums and differences of ranks mean nothing.
+    """
+
+    def __init__(self, points):
+        # a Coord's canonical (a, b, c) keys it faster than its hash
+        self.axes, self._index = [], []
+        for col in zip(*points):
+            axis = sorted({(v.a, v.b, v.c): v for v in col}.values())
+            self.axes.append(axis)
+            self._index.append({(v.a, v.b, v.c): i for i, v in enumerate(axis)})
+
+    def of(self, points):
+        """The ranks of the given points, int64 (n, d)."""
+        return np.array([[index[v.a, v.b, v.c] for v in col]
+                         for index, col in zip(self._index, zip(*points))],
+                        dtype=np.int64).reshape(len(self.axes), -1).T
 
 
-def _lattice_boxes(tiles):
-    """(den, lo, hi): the tiles' boxes as int64 min and max corners (n, d)
-    in units of 1/den, or None for no tiles, a polygon, a sqrt(3) coordinate
-    or a value too large for int64."""
-    if not tiles or not all(isinstance(t.geometry, Box) for t in tiles):
-        return None
-    values = [v for t in tiles for v in t.geometry.lo + t.geometry.hi]
-    if any(v.b for v in values):
-        return None
-    den = math.lcm(*{v.c for v in values})
-    ints = [v.a * (den // v.c) for v in values]
-    if max(map(abs, ints)) >= 2 ** 61:
-        return None
-    boxes = np.array(ints, dtype=np.int64).reshape(len(tiles), 2, -1)
-    return den, boxes[:, 0], boxes[:, 1]
+def rank_incidence(geoms, corners, ranks):
+    """`corner_incidence` on exact tile geometries, in ranks.
+
+    corners[i] lists tile i's corners (box corners or polygon vertices),
+    which `ranks` holds; a tile's bounding box is the least and the greatest
+    rank of its corners on each axis.  Box tiles take the face test in
+    integers; for a polygon, each corner inside its closed bounding box is a
+    candidate and `Polygon.on_boundary` decides.  Returns (keys, points,
+    point, tiles): the distinct corners in order of first appearance (the
+    tiles' own corner tuples), their ranks (p, d), and the incidences as
+    pairs point[i], tiles[i], by point and then ascending tile.
+    """
+    flat = [p for cs in corners for p in cs]
+    ints = ranks.of(flat)
+    counts = np.array([len(cs) for cs in corners])
+    starts = np.cumsum(counts) - counts
+    lo, hi = np.minimum.reduceat(ints, starts), np.maximum.reduceat(ints, starts)
+    box = np.array([isinstance(g, Box) for g in geoms])
+    first, points, point, tiles = corner_incidence(lo, hi, ints, box)
+    keys = [flat[f] for f in first.tolist()]
+    poly = np.flatnonzero(~box[tiles])
+    if len(poly):
+        keep = np.ones(len(tiles), dtype=bool)
+        keep[poly] = [geoms[t].on_boundary(keys[j])
+                      for j, t in zip(point[poly].tolist(), tiles[poly].tolist())]
+        point, tiles = point[keep], tiles[keep]
+    return keys, points, point, tiles
 
 
 def on_box_boundary(p, lo, hi):
@@ -136,77 +149,66 @@ def on_box_boundary(p, lo, hi):
     return ((lo <= p) & (p <= hi)).all(axis=-1) & ((p == lo) | (p == hi)).any(axis=-1)
 
 
+def on_unit_boundary(unit, ranks, points, keys):
+    """Whether each point lies on the closed boundary of the unit base: in
+    ranks (`points`) for a box, ranked along, and one exact point (`keys`) at
+    a time for a polygon."""
+    if isinstance(unit, Box):
+        return on_box_boundary(points, *ranks.of([unit.lo, unit.hi]))
+    return np.array([unit.on_boundary(p) for p in keys], dtype=bool)
+
+
 def _ragged(counts):
     """(owner, rank) of the flattened ragged rows of the given lengths."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def corner_incidence(lo, hi):
-    """The integer core of `TileSet.vertex_index` for boxes with min and
-    max corners lo, hi (n, d), n > 0.
+def corner_incidence(lo, hi, corners=None, faces=None):
+    """The integer core of `TileSet.vertex_index`, for tiles with bounding
+    boxes of min and max corners lo, hi (n, d), n > 0.
 
-    Returns (first, points, start, boxes).  The distinct box corners come in
-    order of first appearance, box by box and each box's corners in
-    `Box.corners` order: first holds the flat index box * 2**d + corner of
-    each one's first appearance and points (p, d) the points themselves.  The
-    boxes whose closed boundary holds point j are boxes[start[j]:start[j + 1]],
-    ascending.
+    corners (m, d) lists every tile's corners, tile by tile; by default each
+    box's 2**d corners in `Box.corners` order.  A tile meets a point when
+    its closed box holds the point and, for the tiles marked in `faces` (by
+    default all), the point lies on a face.
+
+    Returns (first, points, point, tiles).  The distinct corners come in
+    order of first appearance: first holds the index in the corner list of
+    each one's first appearance and points (p, d) the points themselves.
+    Each incidence is a pair point[i], tiles[i], ordered by point and then
+    ascending tile.
     """
-    n, d = lo.shape
-    bits = np.array(list(itertools.product((False, True), repeat=d)))
-    corners = np.where(bits, hi[:, None], lo[:, None]).reshape(-1, d)
+    d = lo.shape[1]
+    if corners is None:
+        bits = np.array(list(itertools.product((False, True), repeat=d)))
+        corners = np.where(bits, hi[:, None], lo[:, None]).reshape(-1, d)
     first = np.sort(np.unique(corners, axis=0, return_index=True)[1])
     points = corners[first]
-    # File every box in each bucket of side h that its closed box meets: the
-    # boxes holding a point are then among those filed in the point's bucket.
-    # h is the smallest box extent.  Buckets are numbered row-major; on a
-    # grid too large for int64 the numbers wrap, which only files more boxes
-    # under one number.
+    # File every tile in each bucket of side h that its closed box meets: the
+    # tiles holding a point are then among those filed in the point's bucket.
+    # h is the smallest box extent; buckets are numbered row-major.
     origin = lo.min(axis=0)
     h = max(int((hi - lo).min()), 1)
     blo, bhi = (lo - origin) // h, (hi - origin) // h
     span = bhi - blo + 1
     stride = np.cumprod(np.append(1, bhi.max(axis=0)[:0:-1] + 1))[::-1]
-    box, rest = _ragged(span.prod(axis=1))
-    key = np.zeros(len(box), dtype=np.int64)
-    for a in reversed(range(d)):        # rest in the mixed radix of the box's spans
-        key += (blo[box, a] + rest % span[box, a]) * stride[a]
-        rest //= span[box, a]
-    order = np.argsort(key, kind="stable")          # keeps boxes ascending per bucket
-    key, box = key[order], box[order]
+    tile, rest = _ragged(span.prod(axis=1))
+    key = np.zeros(len(tile), dtype=np.int64)
+    for a in reversed(range(d)):        # rest in the mixed radix of the tile's spans
+        key += (blo[tile, a] + rest % span[tile, a]) * stride[a]
+        rest //= span[tile, a]
+    order = np.argsort(key, kind="stable")          # keeps tiles ascending per bucket
+    key, tile = key[order], tile[order]
     wanted = ((points - origin) // h) @ stride
     left = np.searchsorted(key, wanted)
     point, rank = _ragged(np.searchsorted(key, wanted, side="right") - left)
-    box = box[left[point] + rank]
-    keep = on_box_boundary(points[point], lo[box], hi[box])
-    point, box = point[keep], box[keep]
-    return first, points, np.searchsorted(point, np.arange(len(points) + 1)), box
-
-
-def _bucket_tiles(tiles):
-    """Hash tiles into a float grid keyed by bucket tuple; returns (dict, h)."""
-    h = None
-    for t in tiles[:64]:
-        g = t.geometry
-        bb = g if isinstance(g, Box) else g.bounding_box()
-        ext = min(float(v) for v in bb.extent())
-        h = ext if h is None else min(h, ext)
-    h = max(h or 1.0, 1e-9)
-    buckets = {}
-    for i, t in enumerate(tiles):
-        g = t.geometry
-        bb = g if isinstance(g, Box) else g.bounding_box()
-        los = [int(float(v) // h) - 1 for v in bb.lo]
-        his = [int(float(v) // h) + 1 for v in bb.hi]
-        for key in itertools.product(*(range(l, u + 1) for l, u in zip(los, his))):
-            buckets.setdefault(key, []).append(i)
-    return buckets, h
-
-
-def _bucket_neighborhood(key, dim):
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        yield tuple(k + o for k, o in zip(key, off))
+    tile = tile[left[point] + rank]
+    p, tlo, thi = points[point], lo[tile], hi[tile]
+    keep = ((tlo <= p) & (p <= thi)).all(axis=-1)
+    face = ((p == tlo) | (p == thi)).any(axis=-1)
+    keep &= face if faces is None else face | ~faces[tile]
+    return first, points, point[keep], tile[keep]
 
 
 def count_tiles(rs, depth):
@@ -332,28 +334,12 @@ class DegreeMap:
 
 def vertex_degrees(ts):
     """Degree (number of interior-disjoint tiles meeting) at every vertex."""
-    unit_base = ts.ruleset.unit_rule.base
     index = ts.vertex_index
-    on_unit = _lattice_on_boundary(unit_base, ts._lattice)
-    if on_unit is None:
-        on_unit = [unit_base.on_boundary(p) for p in index]
+    on_unit = on_unit_boundary(ts.ruleset.unit_rule.base, *ts._ranks, index).tolist()
     interior, boundary = {}, {}
     for (p, incident), edge in zip(index.items(), on_unit):
         (boundary if edge else interior)[p] = len(incident)
     return DegreeMap(interior, boundary)
-
-
-def _lattice_on_boundary(box, lattice):
-    """Whether each of an integer index's points lies on the box's closed
-    boundary, or None without an integer index or a box on its lattice."""
-    if lattice is None or not isinstance(box, Box):
-        return None
-    den, points = lattice
-    scaled = [v * den for v in box.lo + box.hi]
-    if any(v.b or v.c != 1 for v in scaled):
-        return None
-    lo, hi = np.array([v.a for v in scaled]).reshape(2, -1)
-    return on_box_boundary(points, lo, hi).tolist()
 
 
 # -- compiled state table and the integer scan raster ------------------------

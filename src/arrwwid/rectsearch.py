@@ -38,6 +38,8 @@ _UPRIGHT = ["id", "r180", "mx", "my"]
 _ROTATED = ["r90", "r270", "transpose", "antitranspose"]
 # the symmetries of a rectangle, which map the packing's grid onto itself
 _MIRRORS = ("id", "mx", "my", "r180")
+PACKING_BUDGET = 10 ** 6        # packings enumerated per (t, ratio)
+CERTIFY_BUDGET = 200000         # closure steps per re-certified acceptance
 
 
 def _mirror(grid, box, sym):
@@ -210,20 +212,12 @@ def _ortho_layouts(packing):
     return layouts
 
 
-def _assignment_domains(packing):
-    """Per-piece ortho candidates and forbidden ortho pairs of abutting pieces.
-
-    These are the nogoods of size 1 and 2 that the closure's first refinement
-    of the packing's own configurations finds, read off the same layouts.
-    """
-    cand = _piece_domains(packing)
-    return cand, _pair_conflicts(packing, cand)
-
-
 def _piece_domains(packing):
-    """Per-piece ortho candidates.  A piece keeps ortho o only when each
-    packing vertex on its boundary lies in one of its children, else more
-    than three tiles meet there one level down."""
+    """Per-piece ortho candidates: the nogoods of size 1 that the closure's
+    first refinement of the packing's own configurations finds, read off the
+    same layouts.  A piece keeps ortho o only when each packing vertex on
+    its boundary lies in one of its children, else more than three tiles
+    meet there one level down."""
     lays = packing.layouts
     p, q = packing.alpha.numerator, packing.alpha.denominator
     # each packing vertex in the frame of every piece that holds it
@@ -237,9 +231,9 @@ def _piece_domains(packing):
 
 
 def _pair_conflicts(packing, cand):
-    """Forbidden ortho pairs, keyed (i, j) with i < j: abutting pieces forbid
-    (oi, oj) when a cut of their edge configuration has more than three
-    tiles."""
+    """Forbidden ortho pairs, the nogoods of size 2, keyed (i, j) with
+    i < j: abutting pieces forbid (oi, oj) when a cut of their edge
+    configuration has more than three tiles."""
     lays = packing.layouts
     conflicts = {}
     for axis, i, j, delta in lays["id"].pairs:
@@ -253,7 +247,7 @@ def _pair_conflicts(packing, cand):
 
 def _assignments(packing, cap, refute=None):
     """The first `cap` transform assignments satisfying every nogood of
-    `_assignment_domains`, in backtracking order, as (orthos, nogood, ran).
+    `_piece_domains` and `_pair_conflicts`, in backtracking order, as (orthos, nogood, ran).
 
     Without `refute`, nogood is None and ran False.  With it, a nogood that
     refute(orthos) returns is learned, indexed by its last piece in the
@@ -327,8 +321,8 @@ def _assignments(packing, cap, refute=None):
 
 
 def assignment_solutions(packing, cap=50000):
-    """Transform assignments satisfying every nogood of `_assignment_domains`,
-    up to `cap`."""
+    """Transform assignments satisfying every nogood of `_piece_domains` and
+    `_pair_conflicts`, up to `cap`."""
     return [orthos for orthos, _, _ in _assignments(packing, cap)]
 
 
@@ -430,8 +424,7 @@ class SearchReport:
         }
 
 
-def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
-                           assignment_cap=10 ** 6):
+def search_min_rect_tiling(t_max, assignment_cap=10 ** 6):
     """Search all square sizes t <= t_max for degree-3 rectangular tilings."""
     report = SearchReport()
     for t in range(4, t_max + 1):
@@ -441,7 +434,7 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                      "certified": 0, "refuted": 0, "inconclusive": 0,
                      "regular_grid_packings": 0}
             closures = nogoods = 0
-            packings = enumerate_packings(t, alpha, budget=packing_budget)
+            packings = enumerate_packings(t, alpha, budget=PACKING_BUDGET)
             entry["packings"] = len(packings)
             for pk in packings:
                 if pk.is_regular_grid:
@@ -461,7 +454,7 @@ def search_min_rect_tiling(t_max, packing_budget=10 ** 6, certify_budget=200000,
                         continue
                     # re-certify every acceptance from its rule set
                     rs = packing_ruleset(pk, orthos)
-                    cert = certify_max_degree(rs, 3, budget=certify_budget)
+                    cert = certify_max_degree(rs, 3, budget=CERTIFY_BUDGET)
                     if cert.certified:
                         entry["certified"] += 1
                         report.accepted.append((t, alpha, pk, list(orthos), cert))

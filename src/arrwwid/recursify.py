@@ -386,17 +386,15 @@ def _candidate_fine_cells(spec, c):
                     yield (i, j, k)
 
 
-def recursify(spec, levels, window=None):
+def recursify(spec, levels):
     """Labelled lattice after `levels` substitution steps.
 
-    The window is a set of level-`levels` coarse labels to materialize; the
-    default covers a core tile plus surrounding ring so that interior
-    measurements are meaningful.
+    The labels materialized are `default_window`'s: a core tile plus the
+    ring around it, so that interior measurements are meaningful.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if window is None:
-        window = default_window(spec)
+    window = default_window(spec)
     frontier = {c: c for c in window}
     for _ in range(levels):
         # the fine cells become the next step's coarse set, keeping their top label
@@ -407,8 +405,7 @@ def recursify(spec, levels, window=None):
 
 def default_window(spec):
     if spec.kind == "hex":
-        dirs = ((0, 0),) + _HEX_DIRS
-        return [d for d in dirs]
+        return [(0, 0), *_HEX_DIRS]
     if spec.kind == "shifted-square":
         return [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
     return [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
@@ -475,21 +472,17 @@ def hex_vertex_degree(ll):
     return _max_block_degree(label_grid(ll), _HEX_VERTEX_BLOCKS)
 
 
-def coarse_degree(spec, window=None):
-    """Degree of the unrecursified (level-0) tiling."""
+def coarse_degree(spec):
+    """Degree of the unrecursified (level-0) tiling: where each cell is its
+    own tile, the hexagonal lattice's vertex degree for a hex spec."""
     if spec.kind == "hex":
-        ll = LabelledLattice(spec, 0, {c: c for c in (window or _hex_window0())}, set())
-        return max(lattice_degree(ll), hex_vertex_degree(ll))
-    cells = window or default_window(spec)
+        return hex_vertex_degree(LabelledLattice(spec, 0, {c: c for c in _hex_window0()}, set()))
+    cells = default_window(spec)
     return lattice_degree(LabelledLattice(spec, 0, {c: c for c in cells}, set(cells)))
 
 
 def _hex_window0():
-    out = set()
-    for q in range(-2, 3):
-        for r in range(-2, 3):
-            out.add((q, r))
-    return out
+    return {(q, r) for q in range(-2, 3) for r in range(-2, 3)}
 
 
 def connected(cell_set, kind="hex"):

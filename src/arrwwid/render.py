@@ -4,42 +4,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .shapes import Box, Polygon
+from .shapes import Polygon
 from .expand import expand, TileSet
 from .curves import scan_leaves
 from .recursify import LabelledLattice, hex_center, shifted_square_box
 
 
+STROKE_WIDTH = 1.0
+MARGIN = 8
+
+
 class RenderStyle:
-    def __init__(self, size=640, stroke_width=1.0, sketch=False, margin=8,
-                 palette_seed=0):
+    def __init__(self, size=640, sketch=False):
         self.size = size
-        self.stroke_width = stroke_width
         self.sketch = sketch            # overlay the tile-center polyline
-        self.margin = margin
-        self.palette_seed = palette_seed
 
 
 def _fmt(x):
     return ("%.6f" % x).rstrip("0").rstrip(".")
 
 
-def _color(i, seed):
-    h = (i * 2654435761 + seed * 97) % 360
+def _color(i):
+    h = i * 2654435761 % 360
     return "hsl(%d,62%%,72%%)" % h
 
 
 def _transform(points_bbox, style):
     (x0, y0), (x1, y1) = points_bbox
     w, h = x1 - x0, y1 - y0
-    scale = (style.size - 2 * style.margin) / max(w, h)
+    scale = (style.size - 2 * MARGIN) / max(w, h)
 
     def to_px(p):
         # flip y so the unit tile renders with y up
-        return ((float(p[0]) - x0) * scale + style.margin,
-                (y1 - float(p[1])) * scale + style.margin)
+        return ((float(p[0]) - x0) * scale + MARGIN, (y1 - float(p[1])) * scale + MARGIN)
 
-    return to_px, (w * scale + 2 * style.margin, h * scale + 2 * style.margin)
+    return to_px, (w * scale + 2 * MARGIN, h * scale + 2 * MARGIN)
 
 
 def render_svg(subject, style=None, depth=None):
@@ -55,8 +54,7 @@ def render_svg(subject, style=None, depth=None):
         ts = expand(rs, depth if depth is not None else 2)
     if rs.dim != 2:
         raise ValueError("SVG rendering is 2D only")
-    base = rs.unit_rule.base
-    bb = base if isinstance(base, Box) else base.bounding_box()
+    bb = rs.unit_rule.base.bounding_box()
     to_px, (w, h) = _transform(((float(bb.lo[0]), float(bb.lo[1])),
                                 (float(bb.hi[0]), float(bb.hi[1]))), style)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" '
@@ -66,7 +64,7 @@ def render_svg(subject, style=None, depth=None):
             else _box_ring(tile.geometry)
         path = " ".join("%s,%s" % tuple(map(_fmt, to_px(p))) for p in pts)
         parts.append('<polygon points="%s" fill="%s" stroke="black" stroke-width="%s"/>'
-                     % (path, _color(i, style.palette_seed), _fmt(style.stroke_width)))
+                     % (path, _color(i), _fmt(STROKE_WIDTH)))
     if style.sketch:
         centers = []
         for addr, rule_name, transform, rev in scan_leaves(rs, ts.depth):
@@ -74,7 +72,7 @@ def render_svg(subject, style=None, depth=None):
             centers.append(to_px(geom.center()))
         pl = " ".join("%s,%s" % tuple(map(_fmt, c)) for c in centers)
         parts.append('<polyline points="%s" fill="none" stroke="#202020" '
-                     'stroke-width="%s"/>' % (pl, _fmt(style.stroke_width * 1.5)))
+                     'stroke-width="%s"/>' % (pl, _fmt(STROKE_WIDTH * 1.5)))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -110,8 +108,7 @@ def _render_lattice(ll, style):
     for pts, li in polys:
         path = " ".join("%s,%s" % tuple(map(_fmt, to_px(p))) for p in pts)
         parts.append('<polygon points="%s" fill="%s" stroke="#404040" '
-                     'stroke-width="%s"/>' % (path, _color(li, style.palette_seed),
-                                              _fmt(style.stroke_width * 0.5)))
+                     'stroke-width="%s"/>' % (path, _color(li), _fmt(STROKE_WIDTH * 0.5)))
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -478,7 +478,7 @@ def _coverage_gap_witness(base, boxes):
 
 def _sampled_gap_witness(base, shapes, n=12):
     from .exact import coord as _c
-    bb = base.bounding_box() if isinstance(base, Polygon) else base
+    bb = base.bounding_box()
     for i in range(1, n):
         for j in range(1, n):
             p = (bb.lo[0] + (bb.hi[0] - bb.lo[0]) * _c(Fraction(i, n)),

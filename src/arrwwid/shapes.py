@@ -35,6 +35,9 @@ class Box:
     def center(self):
         return tuple((l + h) * HALF for l, h in zip(self.lo, self.hi))
 
+    def bounding_box(self):
+        return self
+
     def corners(self):
         pts = [()]
         for l, h in zip(self.lo, self.hi):

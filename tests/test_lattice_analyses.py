@@ -2,10 +2,11 @@
 the exact per-tile paths they replaced.
 
 A rule set with a state table is classified and audited on the integer leaf
-array (`expand.table_leaves`) and gate table (`curves.gate_table`); a tile set
-of boxes with rational corners is indexed in integers
-(`expand.corner_incidence`).  The oracles below are the earlier exact bodies
-of `classify_connections`, `vertex_audit`, `TileSet.vertex_index` and
+array (`expand.table_leaves`) and gate table (`curves.gate_table`); any other
+rule set on the ranks of the exact coordinates of its leaves, gates and unit
+box (`expand.Ranks`).  Every tile set is indexed on the ranks of its corners
+(`expand.rank_incidence`).  The oracles below are the earlier exact bodies of
+`classify_connections`, `vertex_audit`, `TileSet.vertex_index` and
 `vertex_degrees`, run tile by tile in `Coord` arithmetic on the exact `walk`.
 """
 
@@ -25,7 +26,7 @@ from arrwwid.exact import ONE, Coord, coord
 from arrwwid.expand import (BudgetError, Tile, TileSet, count_tiles, expand, state_table, table_leaves,
                             table_walk, vertex_degrees)
 from arrwwid.rules import RuleError, parse_ruleset
-from arrwwid.shapes import Box
+from arrwwid.shapes import Box, Polygon
 from arrwwid.transforms import Ortho, Similarity
 
 from test_walk import BELOW_LEVEL_ONE, CHILD_OUTSIDE, OFF_LATTICE, OFF_ORIGIN, _conjugate
@@ -114,11 +115,14 @@ class Exact:
         self.tiles = [Tile(addr, rule, tr, rs.rules[rule].base.transform(tr), rev)
                       for addr, rule, tr, rev in leaves]
         tile_gates = [gates.of_tile(tr, rule, rev) for _, rule, tr, rev in leaves]
-        stats = ConnectionStats()
-        for a, b, (_, exit_a), (entry_b, _) in zip(self.tiles, self.tiles[1:], tile_gates,
-                                                   tile_gates[1:]):
-            _classify_pair(stats, a.geometry, b.geometry, exit_a, entry_b)
-        self.connections = stats.as_dict()
+        # the exact loop refused polygon leaves: connections None
+        self.connections = None
+        if all(isinstance(t.geometry, Box) for t in self.tiles):
+            stats = ConnectionStats()
+            for a, b, (_, exit_a), (entry_b, _) in zip(self.tiles, self.tiles[1:], tile_gates,
+                                                       tile_gates[1:]):
+                _classify_pair(stats, a.geometry, b.geometry, exit_a, entry_b)
+            self.connections = stats.as_dict()
         index = _exact_vertex_index(self.tiles)
         self.index = list(index.items())
         self.degrees = _exact_degrees(rs, index)
@@ -146,8 +150,13 @@ def audit_rows(audits):
 
 
 def _assert_matches_exact(rs, depth, want):
-    # the JSON the CLI prints, key order included
-    assert json.dumps(classify_connections(rs, depth).as_dict()) == json.dumps(want.connections)
+    if want.connections is None:
+        with pytest.raises(RuleError, match="connection classification supports box tiles only"):
+            classify_connections(rs, depth)
+    else:
+        # the JSON the CLI prints, key order included
+        assert (json.dumps(classify_connections(rs, depth).as_dict())
+                == json.dumps(want.connections))
     assert audit_rows(vertex_audit(rs, depth)) == want.audits
     ts = TileSet(rs, depth, list(want.tiles))
     assert list(ts.vertex_index.items()) == want.index
@@ -199,9 +208,24 @@ def test_analyses_match_exact_paths_under_square_symmetries(name, rot, reflect):
         _assert_matches_exact(rs, depth, Exact(rs, depth))
 
 
+# the 2 sqrt(3) x 1 rectangle cut into four halves: sqrt(3) coordinates, so
+# no state table
+SQRT3_RECTANGLE = """
+unit R
+rule R
+base box 0 0 (0+2rt3)/1 1
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,0)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(rt3,0)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(0,1/2)
+child rule=R scale=1/2 rot=0 reflect=0 reversed=0 translate=(rt3,1/2)
+"""
+
+
 @pytest.mark.parametrize("text,table", [(OFF_LATTICE, False), (CHILD_OUTSIDE, False),
-                                        (BELOW_LEVEL_ONE, True), (OFF_ORIGIN, True)],
-                         ids=["off-lattice", "child-outside", "below-level-one", "off-origin"])
+                                        (BELOW_LEVEL_ONE, True), (OFF_ORIGIN, True),
+                                        (SQRT3_RECTANGLE, False)],
+                         ids=["off-lattice", "child-outside", "below-level-one", "off-origin",
+                              "sqrt3-rectangle"])
 def test_hand_built_sets_match_exact_paths(monkeypatch, text, table):
     rs = parse_ruleset(text)
     assert (state_table(rs) is not None) == table
@@ -215,6 +239,12 @@ def test_hand_built_sets_match_exact_paths(monkeypatch, text, table):
         _assert_expansion_index_matches_exact(rs, depth)
 
 
+def _ranked_points(ts):
+    """The index's points read back from the ranks it ran on."""
+    ranks, points = ts._ranks
+    return [tuple(axis[c] for axis, c in zip(ranks.axes, p)) for p in points.tolist()]
+
+
 def test_polygon_tiles_keep_the_exact_index():
     # a turn by 30 degrees makes every tile a polygon with sqrt(3) corners
     turn = Similarity(1, Ortho(2, 1, False), (0, 0))
@@ -222,7 +252,19 @@ def test_polygon_tiles_keep_the_exact_index():
               for t in expand(catalog.builtin("hilbert").ruleset, 1)]
     ts = TileSet(None, 1, turned)
     assert list(ts.vertex_index.items()) == list(_exact_vertex_index(turned).items())
-    assert ts._lattice is None
+    assert _ranked_points(ts) == list(ts.vertex_index)
+
+
+def test_polygon_order_matches_exact_paths():
+    # hilbert turned by 30 degrees: every leaf is a polygon with sqrt(3)
+    # corners, so the order gets audits and an index but no connections
+    rs = _conjugate(catalog.builtin("hilbert").ruleset, Ortho(2, 1, False))
+    assert state_table(rs) is None
+    for depth in (0, 1, 2, 3):
+        want = Exact(rs, depth)
+        assert want.connections is None and (depth == 0 or want.audits)
+        _assert_matches_exact(rs, depth, want)
+        _assert_expansion_index_matches_exact(rs, depth)
 
 
 def _box_tiles(boxes):
@@ -243,19 +285,52 @@ def test_corners_past_int64_keep_the_exact_index():
                         ((x + 1, Fraction(1, 2)), (x + 2, 1))))
     ts = TileSet(None, 1, tiles)
     assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
-    assert ts._lattice is None
+    assert _ranked_points(ts) == list(ts.vertex_index)
 
 
 def test_boxes_far_apart_are_indexed():
-    # unit boxes 2**32 apart on each axis: the row-major bucket numbers of
-    # their grid pass int64 and wrap
+    # unit boxes 2**32 apart on each axis, ranked side by side
     far = 2 ** 32
     tiles = _box_tiles([((0, 0, 0), (1, 1, 1)), ((far, 0, 0), (far + 1, 1, 1)),
                         ((0, far, 0), (1, far + 1, 1)), ((0, 0, far), (1, 1, far + 1)),
                         ((1, 0, 0), (2, 1, 1))])
     ts = TileSet(None, 1, tiles)
     assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
-    assert ts._lattice is not None
+    assert _ranked_points(ts) == list(ts.vertex_index)
+
+
+def test_boxes_of_very_different_sizes_are_indexed():
+    # a box 2**40 wide over a row of unit boxes spans 17 ranks, not 2**40 units
+    wide = 2 ** 40
+    tiles = _box_tiles([((i, 0), (i + 1, 1)) for i in range(16)] + [((0, 1), (wide, wide))])
+    ts = TileSet(None, 1, tiles)
+    assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
+    assert ts._ranks[1].max() == 17
+
+
+def test_polygon_candidates_are_decided_exactly():
+    # an L-shaped polygon with a box in its notch and a triangle on top: their
+    # corner (2, 2) lies in the L's bounding box and off its boundary
+    ell = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    tiles = [Tile((0,), "A", None, ell, False), Tile((1,), "A", None, Box((1, 1), (2, 2)), False),
+             Tile((2,), "A", None, Polygon([(0, 2), (2, 2), (1, 3)]), False)]
+    ts = TileSet(None, 1, tiles)
+    assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
+    assert list(ts.vertex_index.items()) == list(_exact_vertex_index(tiles).items())
+    assert ts.vertex_index[coord(2), coord(2)] == [1, 2]
+
+
+def test_ranks_keep_each_axis_apart():
+    # four boxes under one: x takes the values 0, 1/4, 1/2, 3/4 and 1, y only
+    # 0, 1/2 and 1, so 1/2 and 1 have different ranks on the two axes
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    tiles = _box_tiles([((i * quarter, 0), ((i + 1) * quarter, half)) for i in range(4)]
+                       + [((0, half), (1, 1))])
+    ts = TileSet(None, 1, tiles)
+    assert list(ts.vertex_index.items()) == _brute_vertex_index(tiles)
+    assert ts._ranks[0].axes == [[coord(i * quarter) for i in range(5)],
+                                 [coord(i * half) for i in range(3)]]
+    assert _ranked_points(ts) == list(ts.vertex_index)
 
 
 @pytest.mark.parametrize("analysis", [classify_connections, vertex_audit])

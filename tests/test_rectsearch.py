@@ -8,7 +8,7 @@ from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, Packing,
                                 packing_ruleset, assignment_solutions,
                                 _PackingClosure, search_min_rect_tiling,
                                 _ortho_layouts, _UPRIGHT, _ROTATED)
-from arrwwid.rectsearch import _assignment_domains, _assignments, _piece_domains
+from arrwwid.rectsearch import _assignments, _pair_conflicts, _piece_domains
 from arrwwid.builders import ORTHO2
 from arrwwid.expand import expand, max_interior_degree_fast
 from arrwwid.rules import validate_ruleset
@@ -278,7 +278,8 @@ def test_assignment_domains_match_cut_point_oracle(t, alpha):
         cuts = [{o: _edge_cuts(lay, piece) for o, lay in pk.layouts.items()}
                 for piece in pk.pieces]
         want_cand = _assignment_candidates(pk, cuts)
-        cand, conflicts = _assignment_domains(pk)
+        cand = _piece_domains(pk)
+        conflicts = _pair_conflicts(pk, cand)
         assert cand == want_cand, pk.pieces
         assert conflicts == _binary_conflicts(pk, want_cand, cuts), pk.pieces
 

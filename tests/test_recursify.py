@@ -247,8 +247,7 @@ def test_hex_degrees_match_slow_scan(name):
         assert lattice_degree(ll) == _slow_hex_edge_degree(ll), (name, level)
         assert hex_vertex_degree(ll) == _slow_hex_vertex_degree(ll), (name, level)
     ll0 = LabelledLattice(get_spec(name), 0, {c: c for c in _hex_window0()}, set())
-    assert coarse_degree(get_spec(name)) == max(_slow_hex_edge_degree(ll0),
-                                                _slow_hex_vertex_degree(ll0))
+    assert coarse_degree(get_spec(name)) == _slow_hex_vertex_degree(ll0)
 
 
 @pytest.mark.parametrize("name,levels", [("shifted-square", (1, 2)),
