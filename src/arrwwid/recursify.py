@@ -1,10 +1,12 @@
 """Recursified tilings on integer lattices.
 
 A coarse tiling (hexagons, shifted squares, shifted cubes) is approximated by
-cells of the same tiling at a finer scale; iterating the cell-to-owner map
-turns the tiling recursive, with fractal tile boundaries.  All analysis is
-lattice-exact: hexagons use axial integer coordinates with exact geometry in
-the sqrt(3) field, the shifted constructions use exact rational overlaps.
+cells of the same tiling at a finer scale, each given to a coarse cell by
+`owner`.  A substitution step translates the prototile, the cells coarse cell
+0 owns, to every coarse cell; repeating it turns the tiling recursive, with
+fractal tile boundaries.  All analysis is lattice-exact: hexagons use axial
+integer coordinates with exact geometry in the sqrt(3) field, the shifted
+constructions use exact rational overlaps.
 
 The degree measurement reports the vertex degree of the limit tiling.  On the
 hexagonal lattice every lattice vertex touches only three cells, but a
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -353,53 +356,51 @@ class LabelledLattice:
             self.spec.name, self.level, len(self.cells))
 
 
-def _preimage(spec, coarse_cells):
-    """All fine cells owned by the given coarse cells (exact, windowed scan)."""
-    out = {}
-    for c in coarse_cells:
-        for cell in _candidate_fine_cells(spec, c):
-            if owner(spec, cell) == c:
-                out[cell] = c
-    return out
+def _origin(spec, c):
+    """M·c, the fine cell at coarse cell c's origin (M the substitution matrix)."""
+    if spec.ratio == "gosper":
+        return (2 * c[0] - c[1], c[0] + 3 * c[1])
+    return tuple(spec.ratio * v for v in c)
 
 
-def _candidate_fine_cells(spec, c):
-    if spec.kind == "hex":
-        if spec.ratio == "gosper":
-            base = (2 * c[0] - c[1], c[0] + 3 * c[1])
-            span = 3
-        else:
-            m = spec.ratio
-            base = (m * c[0], m * c[1])
-            span = 2 * m
-        for q in range(base[0] - span, base[0] + span + 1):
-            for r in range(base[1] - span, base[1] + span + 1):
-                yield (q, r)
-    elif spec.kind == "shifted-square":
-        for i in range(5 * c[0] - 2, 5 * c[0] + 7):
-            for j in range(5 * c[1] - 4, 5 * c[1] + 9):
-                yield (i, j)
-    else:
-        for i in range(5 * c[0] - 4, 5 * c[0] + 9):
-            for j in range(5 * c[1] - 6, 5 * c[1] + 11):
-                for k in range(5 * c[2] - 2, 5 * c[2] + 7):
-                    yield (i, j, k)
+@functools.lru_cache(maxsize=None)
+def _prototile(spec):
+    """The fine cells that coarse cell 0 owns, in lexicographic order.
+
+    Every owner satisfies owner(M·c + x) = c + owner(x), so each coarse cell
+    owns a translate of these cells, det M of them (m^d, or 7 for gosper).
+    The window [-s, 2s) per axis, s = m (3 for gosper), spans the coarse
+    cells next to cell 0; a short count means it missed a cell.
+    """
+    dim = 3 if spec.kind == "shifted-cube" else 2
+    s, det = (3, 7) if spec.ratio == "gosper" else (spec.ratio, spec.ratio ** dim)
+    cells = tuple(cell for cell in itertools.product(range(-s, 2 * s), repeat=dim)
+                  if owner(spec, cell) == (0,) * dim)
+    if len(cells) != det:
+        raise LatticeError("prototile of %s holds %d cells, not det M = %d"
+                           % (spec.name, len(cells), det))
+    return cells
 
 
 def recursify(spec, levels):
     """Labelled lattice after `levels` substitution steps.
 
+    Fine cell M·c + p, p in the prototile, keeps coarse cell c's top label.
     The labels materialized are `default_window`'s: a core tile plus the
     ring around it, so that interior measurements are meaningful.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     window = default_window(spec)
+    proto = _prototile(spec)
     frontier = {c: c for c in window}
     for _ in range(levels):
-        # the fine cells become the next step's coarse set, keeping their top label
-        frontier = {cell: frontier[top]
-                    for cell, top in _preimage(spec, list(frontier)).items()}
+        fine = {}
+        for c, top in frontier.items():
+            base = _origin(spec, c)
+            for p in proto:
+                fine[tuple(map(operator.add, base, p))] = top
+        frontier = fine
     return LabelledLattice(spec, levels, frontier, set(window))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .shapes import Polygon
+from .shapes import Polygon, _ccw_corners
 from .expand import expand, TileSet
 from .curves import scan_leaves
 from .recursify import LabelledLattice, hex_center, shifted_square_box
@@ -61,7 +61,7 @@ def render_svg(subject, style=None, depth=None):
              'viewBox="0 0 %s %s">' % (_fmt(w), _fmt(h), _fmt(w), _fmt(h))]
     for i, tile in enumerate(ts.tiles):
         pts = tile.geometry.corners() if isinstance(tile.geometry, Polygon) \
-            else _box_ring(tile.geometry)
+            else _ccw_corners(tile.geometry)
         path = " ".join("%s,%s" % tuple(map(_fmt, to_px(p))) for p in pts)
         parts.append('<polygon points="%s" fill="%s" stroke="black" stroke-width="%s"/>'
                      % (path, _color(i), _fmt(STROKE_WIDTH)))
@@ -75,11 +75,6 @@ def render_svg(subject, style=None, depth=None):
                      'stroke-width="%s"/>' % (pl, _fmt(STROKE_WIDTH * 1.5)))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _box_ring(box):
-    (x0, y0), (x1, y1) = box.lo, box.hi
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
 def _render_lattice(ll, style):

@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 
 from .exact import ZERO, parse_coord
-from .shapes import Box, Polygon, segments_cross
+from .shapes import Box, Polygon, _ccw_corners, segments_cross
 from .transforms import Ortho, Similarity, parse_rot, format_rot
 
 
@@ -424,8 +424,8 @@ def _interior_overlap_witness(a, b):
         inter = a.intersection(b)
         return None if inter is None else inter.center()
     # polygon case: exact but conservative -- boundary crossings or containment
-    pa = a if isinstance(a, Polygon) else Polygon(_box_corners(a))
-    pb = b if isinstance(b, Polygon) else Polygon(_box_corners(b))
+    pa = a if isinstance(a, Polygon) else Polygon(_ccw_corners(a))
+    pb = b if isinstance(b, Polygon) else Polygon(_ccw_corners(b))
     na, nb = len(pa.vertices), len(pb.vertices)
     for i in range(na):
         for j in range(nb):
@@ -448,11 +448,6 @@ def _interior_overlap_witness(a, b):
 def _midpoint(p, q):
     from .exact import HALF
     return tuple((a + b) * HALF for a, b in zip(p, q))
-
-
-def _box_corners(box):
-    (x0, y0), (x1, y1) = box.lo, box.hi
-    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
 def _coverage_gap_witness(base, boxes):

@@ -178,6 +178,16 @@ def test_criterion_7_recursify():
                   "displacement bounds exact", t0)
 
 
+@pytest.mark.slow
+def test_criterion_7_shifted_cube_level_2():
+    # the recursified shifted cube keeps degree d + 1 = 4 one level deeper
+    t0 = time.time()
+    ll = recursify(get_spec("shifted-cube"), 2)
+    degree = lattice_degree(ll)
+    report(7, degree == 4, "shifted-cube L2: %d cells, degree %d" % (len(ll.cells), degree),
+           t0)
+
+
 def test_criterion_8_three_dimensional():
     t0 = time.time()
     lifted = catalog.builtin("lifted-daun").ruleset

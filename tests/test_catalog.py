@@ -23,6 +23,27 @@ def test_expected_degrees():
             assert got == entry.expected_degree, (name, depth, got)
 
 
+def test_entry_exit_and_edge_connected_metadata():
+    # entry_exit where set is the unit rule's gates; edge_connected=True means
+    # no diagonal and no jump connection at depths 1-3 (1-2 in 3D), False
+    # means some
+    checked = 0
+    for name in catalog.names():
+        entry = catalog.builtin(name)
+        if entry.entry_exit is not None:
+            assert entry_exit(entry.ruleset) == tuple(
+                tuple(coord(v) for v in point) for point in entry.entry_exit), name
+            checked += 1
+        if entry.edge_connected is None:
+            continue
+        depths = (1, 2, 3) if entry.dim == 2 else (1, 2)
+        stats = [classify_connections(entry.ruleset, depth) for depth in depths]
+        loose = sum(st.diagonal + st.jump for st in stats)
+        assert (loose == 0) == entry.edge_connected, (name, loose)
+        checked += 1
+    assert checked == 11
+
+
 def test_dekking_gate_guard():
     entry = catalog.builtin("dekking")
     e, x = entry_exit(entry.ruleset)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 from arrwwid.recursify import (get_spec, recursify, lattice_degree, hex_vertex_degree,
                                coarse_degree, connected, displacement_bound,
                                exact_compare, owner, LatticeError, LabelledLattice,
-                               default_window, label_grid, _hex_window0,
-                               shifted_cube_box, shifted_square_box)
+                               LatticeSpec, default_window, label_grid, _hex_window0,
+                               _origin, _prototile, shifted_cube_box, shifted_square_box)
 
 
 def test_counts_per_label():
@@ -153,6 +154,92 @@ def test_displacement_requires_contraction():
         DisplacementBound("degenerate", 0.1, 1.0, 0.5)
     with pytest.raises(LatticeError):
         displacement_bound(get_spec("hex-9"))
+
+
+# -- slow reference: the exact owner on a hand-sized window per coarse cell -------
+
+def _preimage(spec, coarse_cells):
+    """All fine cells owned by the given coarse cells (exact, windowed scan)."""
+    out = {}
+    for c in coarse_cells:
+        for cell in _candidate_fine_cells(spec, c):
+            if owner(spec, cell) == c:
+                out[cell] = c
+    return out
+
+
+def _candidate_fine_cells(spec, c):
+    if spec.kind == "hex":
+        if spec.ratio == "gosper":
+            base = (2 * c[0] - c[1], c[0] + 3 * c[1])
+            span = 3
+        else:
+            m = spec.ratio
+            base = (m * c[0], m * c[1])
+            span = 2 * m
+        for q in range(base[0] - span, base[0] + span + 1):
+            for r in range(base[1] - span, base[1] + span + 1):
+                yield (q, r)
+    elif spec.kind == "shifted-square":
+        for i in range(5 * c[0] - 2, 5 * c[0] + 7):
+            for j in range(5 * c[1] - 4, 5 * c[1] + 9):
+                yield (i, j)
+    else:
+        for i in range(5 * c[0] - 4, 5 * c[0] + 9):
+            for j in range(5 * c[1] - 6, 5 * c[1] + 11):
+                for k in range(5 * c[2] - 2, 5 * c[2] + 7):
+                    yield (i, j, k)
+
+
+def _slow_recursify(spec, levels):
+    window = default_window(spec)
+    frontier = {c: c for c in window}
+    for _ in range(levels):
+        frontier = {cell: frontier[top]
+                    for cell, top in _preimage(spec, list(frontier)).items()}
+    return LabelledLattice(spec, levels, frontier, set(window))
+
+
+@pytest.mark.parametrize("name,levels", [("hex-9", 3), ("gosper-7", 3), ("rhombus-4", 3),
+                                         ("disconnected-4", 3), ("shifted-square", 2),
+                                         ("shifted-cube", 1)])
+def test_recursify_matches_window_search(name, levels):
+    spec = get_spec(name)
+    for level in range(1, levels + 1):
+        ll, want = recursify(spec, level), _slow_recursify(spec, level)
+        assert list(ll.cells.items()) == list(want.cells.items()), (name, level)
+        assert ll.core_labels == want.core_labels
+        assert ll.level == want.level == level
+
+
+@pytest.mark.parametrize("name,size", [("hex-9", 9), ("gosper-7", 7), ("rhombus-4", 4),
+                                       ("disconnected-4", 4), ("shifted-square", 25),
+                                       ("shifted-cube", 125)])
+def test_owner_commutes_with_substitution(name, size):
+    # owner(M·c + p) == c for every prototile cell p, negative c included
+    spec = get_spec(name)
+    proto = _prototile(spec)
+    assert len(proto) == size
+    assert list(proto) == sorted(proto)
+    rng = random.Random(20)
+    dim = len(proto[0])
+    coarse = [(0,) * dim, (-1,) * dim, (-7,) * dim]
+    coarse += [tuple(rng.randint(-60, 60) for _ in range(dim)) for _ in range(30)]
+    for c in coarse:
+        base = _origin(spec, c)
+        for p in proto:
+            assert owner(spec, tuple(b + v for b, v in zip(base, p))) == c, (c, p)
+
+
+def test_prototile_outside_the_window_is_refused():
+    # residue (1, 1) owned from three coarse cells away: coarse cell 0's
+    # fourth cell (7, 1) lies outside the prototile window
+    far = LatticeSpec("far-4", "hex", 2, "table",
+                      tiebreak={(0, 0): (0, 0), (1, 0): (0, 0),
+                                (0, 1): (0, 0), (1, 1): (3, 0)})
+    assert owner(far, (7, 1)) == (0, 0)
+    with pytest.raises(LatticeError, match="3 cells"):
+        recursify(far, 1)
 
 
 # -- slow reference: the degree scans, one cell or one point at a time -----------
