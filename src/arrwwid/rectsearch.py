@@ -5,18 +5,24 @@ perfect square, and the aspect ratio alpha must be rational with numerator at
 most sqrt(t) and denominator below sqrt(t), with the width/height filling
 equations admitting solutions in which each orientation count is positive.
 Packings are enumerated by exact backtracking on the cut lattice (all cuts
-are multiples of 1/(q*sqrt(t)) of the unit height); per-tile transform
-assignments are pruned by the nogoods of size one and two that the closure
-engine of `certify` finds in its first refinement of the packing's own vertex
-and edge configurations.  The survivors go through that closure, except
-those a learned nogood covers: the counterexample chain of a refuted
-assignment names every (piece, ortho) its closure read, and any assignment
-agreeing on those is refuted by the same chain, so it is counted as refuted
-without a closure.  The packing's 8 per-ortho layouts are built once, by the
-orientation `certify` uses too (`expand.orient_boxes`), and shared by the
-pruning and all its assignments.  Every accepted assignment is certified
-again from its rule set's own placements, with any counterexample replayed
-on an exact expansion.
+are multiples of 1/(q*sqrt(t)) of the unit height), in bit masks of the
+filled cells.  A packing with a crossing, a point where four pieces meet, has
+vertex degree four, so the enumeration cuts the branch that would place a
+crossing's fourth piece and lists only the packings without one.  The search
+still reports how many packings there are: `count_packings` counts them up to
+symmetry by Burnside's lemma, from the number of packings each symmetry of
+the rectangle fixes, each counted over the filled cells and memoised.
+Per-tile transform assignments are pruned by the nogoods of size one and two
+that the closure engine of `certify` finds in its first refinement of the
+packing's own vertex and edge configurations.  The survivors go through that
+closure, except those a learned nogood covers: the counterexample chain of a
+refuted assignment names every (piece, ortho) its closure read, and any
+assignment agreeing on those is refuted by the same chain, so it is counted
+as refuted without a closure.  The packing's 8 per-ortho layouts are built
+once, by the orientation `certify` uses too (`expand.orient_boxes`), and
+shared by the pruning and all its assignments.  Every accepted assignment is
+certified again from its rule set's own placements, with any counterexample
+replayed on an exact expansion.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ _UPRIGHT = ["id", "r180", "mx", "my"]
 _ROTATED = ["r90", "r270", "transpose", "antitranspose"]
 # the symmetries of a rectangle, which map the packing's grid onto itself
 _MIRRORS = ("id", "mx", "my", "r180")
-PACKING_BUDGET = 10 ** 6        # packings enumerated per (t, ratio)
 CERTIFY_BUDGET = 200000         # closure steps per re-certified acceptance
 
 
@@ -95,11 +100,6 @@ class Packing:
         self.grid = grid
         self.pieces = tuple(sorted(pieces))
 
-    @property
-    def is_regular_grid(self):
-        ws = {(w, h) for _, _, w, h in self.pieces}
-        return len(ws) == 1
-
     def symmetry_images(self):
         for sym in _MIRRORS:
             yield tuple(sorted(_mirror(self.grid, b, sym) for b in self.pieces))
@@ -107,75 +107,128 @@ class Packing:
     def canonical_key(self):
         return min(self.symmetry_images())
 
-    def max_vertex_degree(self):
-        """Most pieces whose closed boxes hold one interior lattice vertex, read
-        off the identity-ortho layout."""
-        lay = Layout(*self.grid, [(x, y, x + w, y + h) for x, y, w, h in self.pieces], 1)
-        return max((len(inc) for _, inc in lay.corners), default=0)
-
     @cached_property
     def layouts(self):
         """The packing's closure Layout under each ortho, built on first use."""
         return _ortho_layouts(self)
 
 
-def enumerate_packings(t, alpha, budget=10 ** 6):
-    """All packings for (t, alpha), canonical under the rectangle symmetries.
-
-    Deterministic order; raises BudgetError-style RuntimeError past budget.
-    """
-    s = isqrt(t)
+def _piece_shapes(alpha):
+    """The piece shapes (w, h) of ratio alpha on the cut lattice, upright first."""
     p, q = alpha.numerator, alpha.denominator
-    W, H = p * s, q * s
-    grid = [[False] * H for _ in range(W)]
+    return ((p, q), (q, p)) if p != q else ((p, q),)
+
+
+def _cut_lattice(t, alpha, shapes):
+    """The lattice grid (W, H), the cell bits of a box, and per cell bit
+    x*H + y the boxes of `shapes` with their lower-left corner in that cell
+    that fit in the grid."""
+    s = isqrt(t)
+    W, H = alpha.numerator * s, alpha.denominator * s
+
+    def bits(x, y, w, h):
+        return sum(((1 << h) - 1) << (H * (x + dx) + y) for dx in range(w))
+
+    boxes = [[(x, y, w, h) for w, h in shapes if x + w <= W and y + h <= H]
+             for x in range(W) for y in range(H)]
+    return (W, H), bits, boxes
+
+
+def _first_empty(filled):
+    """The lowest empty cell bit: the first empty cell in column-major order."""
+    return (~filled & (filled + 1)).bit_length() - 1
+
+
+def enumerate_packings(t, alpha, budget=10 ** 6):
+    """The packings for (t, alpha) without a crossing, canonical under the
+    rectangle symmetries, in canonical-key order.
+
+    A crossing is an interior point where four pieces meet.  Each piece is
+    placed with its lower-left corner in the first empty cell in
+    column-major order, so a crossing's fourth piece is placed when that
+    cell is the first empty one and the other three are in place.  A branch
+    ends there: when three placed pieces have a corner at the first empty
+    cell's lower-left point.  Crossing packings are counted by
+    `count_packings`, never listed.  Deterministic order; raises
+    RuntimeError past `budget` nodes.
+    """
+    (W, H), bits, boxes = _cut_lattice(t, alpha, _piece_shapes(alpha))
+    P = H + 1       # lattice point (x, y) at x*P + y
+
+    def move(x, y, w, h):
+        # the box, its cells, and its upper-left, lower-right and upper-right corners
+        return ((x, y, w, h), bits(x, y, w, h),
+                (x * P + y + h, (x + w) * P + y, (x + w) * P + y + h))
+
+    moves = [[move(*box) for box in at] for at in boxes]
+    full = (1 << W * H) - 1
+    corners = [0] * ((W + 1) * P)   # placed pieces with a corner at each point
     pieces = []
     found = {}
-    nodes = [0]
+    nodes = 0
 
-    def first_empty():
-        for x in range(W):
-            col = grid[x]
-            for y in range(H):
-                if not col[y]:
-                    return x, y
-        return None
-
-    def place(x, y, w, h, val):
-        for dx in range(w):
-            col = grid[x + dx]
-            for dy in range(h):
-                col[y + dy] = val
-
-    def fits(x, y, w, h):
-        if x + w > W or y + h > H:
-            return False
-        for dx in range(w):
-            col = grid[x + dx]
-            for dy in range(h):
-                if col[y + dy]:
-                    return False
-        return True
-
-    def rec():
-        nodes[0] += 1
-        if nodes[0] > budget:
+    def rec(filled):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise RuntimeError("packing enumeration exceeded budget of %d nodes" % budget)
-        spot = first_empty()
-        if spot is None:
+        if filled == full:
             pk = Packing(t, alpha, (W, H), pieces)
             found.setdefault(pk.canonical_key(), pk)
             return
-        x, y = spot
-        for w, h in ((p, q), (q, p)) if p != q else ((p, q),):
-            if fits(x, y, w, h):
-                pieces.append((x, y, w, h))
-                place(x, y, w, h, True)
-                rec()
-                place(x, y, w, h, False)
+        cell = _first_empty(filled)
+        x, y = divmod(cell, H)
+        if corners[x * P + y] == 3:
+            return
+        for box, cells, pts in moves[cell]:
+            if not filled & cells:
+                for pt in pts:
+                    corners[pt] += 1
+                pieces.append(box)
+                rec(filled | cells)
                 pieces.pop()
+                for pt in pts:
+                    corners[pt] -= 1
 
-    rec()
+    rec(0)
     return [found[k] for k in sorted(found)]
+
+
+def count_packings(t, alpha, shapes):
+    """The number of packings for (t, alpha) by pieces of `shapes`, crossing
+    or not, up to the rectangle symmetries.
+
+    By Burnside's lemma it is the mean, over `_MIRRORS`, of the number of
+    packings each symmetry maps onto themselves.
+    """
+    return sum(_fixed_packings(t, alpha, shapes, sym) for sym in _MIRRORS) // len(_MIRRORS)
+
+
+def _fixed_packings(t, alpha, shapes, sym):
+    """The number of packings by pieces of `shapes` that `sym` maps onto
+    themselves, memoised over the filled cells.
+
+    The piece at the first empty cell is placed together with its image,
+    which must be the piece itself or disjoint from it.  The filled cells
+    stay symmetric, so the image never meets them.
+    """
+    grid, bits, boxes = _cut_lattice(t, alpha, shapes)
+
+    def move(box):
+        cells, image = bits(*box), bits(*_mirror(grid, box, sym))
+        return cells | image if image == cells or not image & cells else 0
+
+    moves = [[m for m in map(move, at) if m] for at in boxes]
+    memo = {(1 << grid[0] * grid[1]) - 1: 1}
+
+    def count(filled):
+        n = memo.get(filled)
+        if n is None:
+            n = memo[filled] = sum(count(filled | m) for m in moves[_first_empty(filled)]
+                                   if not filled & m)
+        return n
+
+    return count(0)
 
 
 def packing_ruleset(packing, orthos, name="rect"):
@@ -429,20 +482,16 @@ def search_min_rect_tiling(t_max, assignment_cap=10 ** 6):
     report = SearchReport()
     for t in range(4, t_max + 1):
         for alpha in eligible_ratios(t):
-            entry = {"t": t, "alpha": str(alpha), "packings": 0,
-                     "crossing_packings": 0, "assignments": 0,
-                     "certified": 0, "refuted": 0, "inconclusive": 0,
-                     "regular_grid_packings": 0}
+            packings = enumerate_packings(t, alpha, budget=inf)
+            shapes = _piece_shapes(alpha)
+            n = count_packings(t, alpha, shapes)
+            entry = {"t": t, "alpha": str(alpha), "packings": n,
+                     "crossing_packings": n - len(packings), "assignments": 0,
+                     "certified": 0, "refuted": n - len(packings), "inconclusive": 0,
+                     "regular_grid_packings": sum(count_packings(t, alpha, (shape,))
+                                                  for shape in shapes)}
             closures = nogoods = 0
-            packings = enumerate_packings(t, alpha, budget=PACKING_BUDGET)
-            entry["packings"] = len(packings)
             for pk in packings:
-                if pk.is_regular_grid:
-                    entry["regular_grid_packings"] += 1
-                if pk.max_vertex_degree() > 3:
-                    entry["crossing_packings"] += 1
-                    entry["refuted"] += 1
-                    continue
                 count = 0
                 for orthos, nogood, ran in _assignments(pk, assignment_cap,
                                                         _PackingClosure(pk).refute):

@@ -424,6 +424,12 @@ _HEX_VERTEX_BLOCKS = (((0, 0), (0, 1), (-1, 1)),
                       ((0, 0), (0, -1), (1, -1)))
 
 
+# 3 times the lower corner of `shifted_square_box` / `shifted_cube_box`, an
+# integer linear map of the cell: (3i, 3j + i) and (3i + k, 3j + i - k, 3k)
+_THIRDS = {"shifted-square": np.array([[3, 1], [0, 3]]),
+           "shifted-cube": np.array([[3, 1, 0], [0, 3, 0], [1, -1, 3]])}
+
+
 def label_grid(ll):
     """The lattice's labels painted into one int32 raster.
 
@@ -436,14 +442,11 @@ def label_grid(ll):
     dense = {}
     labels = np.array([dense.setdefault(lab, len(dense)) for lab in ll.cells.values()],
                       dtype=np.int32)
+    lo = np.array(list(ll.cells), dtype=np.int64)
     if ll.spec.kind == "hex":
-        lo = np.array(list(ll.cells), dtype=np.int64).reshape(-1, 2)
         side = 1
     else:
-        box = shifted_square_box if ll.spec.kind == "shifted-square" else shifted_cube_box
-        dim = len(next(iter(ll.cells)))
-        lo = np.array([[int(3 * v) for v in box(cell)[:dim]] for cell in ll.cells],
-                      dtype=np.int64)
+        lo = lo @ _THIRDS[ll.spec.kind]
         side = 3
     lo -= lo.min(axis=0)
     grid = np.full(tuple(lo.max(axis=0) + side), -1, dtype=np.int32)

@@ -57,12 +57,6 @@ class Box:
     def on_boundary(self, p):
         return self.contains_point(p, closed=True) and not self.contains_point(p, closed=False)
 
-    def interior_intersects(self, other):
-        for (l1, h1), (l2, h2) in zip(zip(self.lo, self.hi), zip(other.lo, other.hi)):
-            if (min(h1, h2) - max(l1, l2)).sign() <= 0:
-                return False
-        return True
-
     def intersection(self, other):
         lo, hi = [], []
         for (l1, h1), (l2, h2) in zip(zip(self.lo, self.hi), zip(other.lo, other.hi)):
@@ -72,17 +66,6 @@ class Box:
             lo.append(l)
             hi.append(h)
         return Box(lo, hi)
-
-    def shared_boundary_dim(self, other):
-        """Dimension of the closed intersection, or None when disjoint."""
-        d = 0
-        for (l1, h1), (l2, h2) in zip(zip(self.lo, self.hi), zip(other.lo, other.hi)):
-            gap = (max(l1, l2) - min(h1, h2)).sign()
-            if gap > 0:
-                return None
-            if gap < 0:
-                d += 1
-        return d
 
     def transform(self, sim):
         """Image under a similarity.  Axis-aligned maps give a Box again."""

@@ -203,8 +203,7 @@ def test_pinned_catalog_certificates(row):
 
 def test_pinned_packing_certificates():
     from arrwwid.rectsearch import enumerate_packings, assignment_solutions, packing_ruleset
-    pk = [p for p in enumerate_packings(16, Fraction(3, 2))
-          if p.max_vertex_degree() <= 3][0]
+    pk = enumerate_packings(16, Fraction(3, 2))[0]
     sols = assignment_solutions(pk)[:24]
     got = [(i,) + _pinned_row(certify_max_degree(packing_ruleset(pk, o), 3))
            for i, o in enumerate(sols)]
@@ -228,8 +227,7 @@ _PINNED_UNIFORM = [
 
 def test_pinned_uniform_assignment_certificates():
     from arrwwid.rectsearch import enumerate_packings, packing_ruleset, _UPRIGHT, _ROTATED
-    packings = [p for p in enumerate_packings(16, Fraction(3, 2))
-                if p.max_vertex_degree() <= 3]
+    packings = enumerate_packings(16, Fraction(3, 2))
     got = []
     for i, pk in enumerate(packings):
         upright = (pk.alpha.numerator, pk.alpha.denominator)

@@ -29,6 +29,7 @@ from arrwwid.rules import RuleError, parse_ruleset
 from arrwwid.shapes import Box, Polygon
 from arrwwid.transforms import Ortho, Similarity
 
+from test_shapes import _shared_boundary_dim
 from test_walk import BELOW_LEVEL_ONE, CHILD_OUTSIDE, OFF_LATTICE, OFF_ORIGIN, _conjugate
 
 
@@ -87,7 +88,7 @@ def _exact_degrees(rs, index):
 
 
 def _classify_pair(stats, geom_a, geom_b, exit_a, entry_b):
-    contact = geom_a.shared_boundary_dim(geom_b)
+    contact = _shared_boundary_dim(geom_a, geom_b)
     if exit_a != entry_b or contact is None:
         stats.jump += 1
         stats.jump_contact_dims[contact] = stats.jump_contact_dims.get(contact, 0) + 1

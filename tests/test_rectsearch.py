@@ -4,11 +4,12 @@ from math import inf, isqrt
 
 import pytest
 
-from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, Packing,
+from arrwwid.rectsearch import (eligible_ratios, enumerate_packings, count_packings, Packing,
                                 packing_ruleset, assignment_solutions,
                                 _PackingClosure, search_min_rect_tiling,
                                 _ortho_layouts, _UPRIGHT, _ROTATED)
-from arrwwid.rectsearch import _assignments, _pair_conflicts, _piece_domains
+from arrwwid.rectsearch import (_assignments, _fixed_packings, _pair_conflicts,
+                                _piece_domains, _piece_shapes)
 from arrwwid.builders import ORTHO2
 from arrwwid.expand import expand, max_interior_degree_fast
 from arrwwid.rules import validate_ruleset
@@ -53,14 +54,17 @@ def test_eligible_ratios_against_oracle():
 
 def test_packing_counts_against_oracle():
     # 41 domino tilings of the 6x3 grid; 33 brick tilings of 12x8 by 3x2
-    pk9 = enumerate_packings(9, Fraction(2))
+    pk9 = _all_packings(9, Fraction(2))
     assert sum(len(set(p.symmetry_images())) for p in pk9) == 41
-    pk16 = enumerate_packings(16, Fraction(3, 2))
+    pk16 = _all_packings(16, Fraction(3, 2))
     assert sum(len(set(p.symmetry_images())) for p in pk16) == 33
+    # the identity fixes every packing: Burnside's first term is the orbit-size sum
+    for t, alpha, total in ((9, Fraction(2), 41), (16, Fraction(3, 2), 33)):
+        assert _fixed_packings(t, alpha, _piece_shapes(alpha), "id") == total
 
 
 def test_packings_canonical_and_exact():
-    pks = enumerate_packings(16, Fraction(3, 2))
+    pks = _all_packings(16, Fraction(3, 2))
     keys = [p.canonical_key() for p in pks]
     assert len(keys) == len(set(keys))
     for p in pks[:3]:
@@ -69,14 +73,14 @@ def test_packings_canonical_and_exact():
 
 
 def test_regular_grid_flag():
-    pks = enumerate_packings(9, Fraction(2))
-    assert any(p.is_regular_grid for p in pks)
+    pks = _all_packings(9, Fraction(2))
+    assert any(_is_regular_grid(p) for p in pks)
 
 
 def test_cut_lattice_claim():
     # all cut coordinates are integers on the 1/(q*sqrt(t)) lattice by
     # construction; re-verify on emitted packings
-    for pk in enumerate_packings(16, Fraction(3, 2)):
+    for pk in _all_packings(16, Fraction(3, 2)):
         W, H = pk.grid
         for x, y, w, h in pk.pieces:
             assert 0 <= x and x + w <= W and 0 <= y and y + h <= H
@@ -86,8 +90,7 @@ def test_cut_lattice_claim():
 def test_packing_closure_agrees_with_ruleset_closure():
     # the packing path (lattice layouts per ortho) against the rule-set path
     # (layouts from packing_ruleset) of the same closure engine
-    pk = [p for p in enumerate_packings(16, Fraction(3, 2))
-          if p.max_vertex_degree() <= 3][0]
+    pk = enumerate_packings(16, Fraction(3, 2))[0]
     sols = assignment_solutions(pk)
     lattice = _PackingClosure(pk)
     import random
@@ -104,8 +107,7 @@ def test_packing_closure_agrees_with_ruleset_closure():
 def test_edge_cuts_match_level2_expansion():
     # oracle: the corners of a piece's level-2 tiles on its boundary, the
     # piece's own corners excluded, read off an exact expansion
-    packings = [p for p in enumerate_packings(16, Fraction(3, 2))
-                if p.max_vertex_degree() <= 3]
+    packings = enumerate_packings(16, Fraction(3, 2))
     assert len(packings) == 2
     for pk in packings:
         k = isqrt(pk.t)
@@ -176,13 +178,132 @@ def _exact_max_vertex_degree(packing):
 
 @pytest.mark.parametrize("t,alpha", [(9, Fraction(2)), (16, Fraction(3, 2))])
 def test_ortho_layouts_match_exact_corner_map(t, alpha):
-    for pk in enumerate_packings(t, alpha):
+    for pk in _all_packings(t, alpha):
         got, want = _ortho_layouts(pk), _exact_ortho_layouts(pk)
         assert list(got) == list(want)
         for name in want:
             a, b = got[name], want[name]
             assert (a.w, a.h, a.boxes, a.k) == (b.w, b.h, b.boxes, b.k), (pk.pieces, name)
-        assert pk.max_vertex_degree() == _exact_max_vertex_degree(pk)
+        assert _max_vertex_degree(pk) == _exact_max_vertex_degree(pk)
+
+
+# -- every packing, crossing or not: the oracle of the pruned enumeration ---------
+
+def _all_packings(t, alpha, budget=10 ** 6):
+    """All packings for (t, alpha), canonical under the rectangle symmetries,
+    crossing ones included: the enumeration without the crossing cut."""
+    s = isqrt(t)
+    p, q = alpha.numerator, alpha.denominator
+    W, H = p * s, q * s
+    grid = [[False] * H for _ in range(W)]
+    pieces = []
+    found = {}
+    nodes = [0]
+
+    def first_empty():
+        for x in range(W):
+            col = grid[x]
+            for y in range(H):
+                if not col[y]:
+                    return x, y
+        return None
+
+    def place(x, y, w, h, val):
+        for dx in range(w):
+            col = grid[x + dx]
+            for dy in range(h):
+                col[y + dy] = val
+
+    def fits(x, y, w, h):
+        if x + w > W or y + h > H:
+            return False
+        for dx in range(w):
+            col = grid[x + dx]
+            for dy in range(h):
+                if col[y + dy]:
+                    return False
+        return True
+
+    def rec():
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise RuntimeError("packing enumeration exceeded budget of %d nodes" % budget)
+        spot = first_empty()
+        if spot is None:
+            pk = Packing(t, alpha, (W, H), pieces)
+            found.setdefault(pk.canonical_key(), pk)
+            return
+        x, y = spot
+        for w, h in ((p, q), (q, p)) if p != q else ((p, q),):
+            if fits(x, y, w, h):
+                pieces.append((x, y, w, h))
+                place(x, y, w, h, True)
+                rec()
+                place(x, y, w, h, False)
+                pieces.pop()
+
+    rec()
+    return [found[k] for k in sorted(found)]
+
+
+def _is_regular_grid(packing):
+    """True when every piece has the same shape."""
+    return len({(w, h) for _, _, w, h in packing.pieces}) == 1
+
+
+def _max_vertex_degree(packing):
+    """Most pieces whose closed boxes hold one interior lattice vertex, read
+    off the identity-ortho layout."""
+    lay = Layout(*packing.grid, [(x, y, x + w, y + h) for x, y, w, h in packing.pieces], 1)
+    return max((len(inc) for _, inc in lay.corners), default=0)
+
+
+@pytest.mark.parametrize("t,alpha", [
+    pytest.param(t, alpha, marks=[pytest.mark.slow] if (t, alpha) == (25, 2) else [])
+    for t in (9, 16, 25) for alpha in eligible_ratios(t)])
+def test_enumeration_is_the_oracle_without_crossings(t, alpha):
+    every = _all_packings(t, alpha)
+    flat = [pk for pk in every if _exact_max_vertex_degree(pk) <= 3]
+    assert [pk.pieces for pk in enumerate_packings(t, alpha)] == [pk.pieces for pk in flat]
+    shapes = _piece_shapes(alpha)
+    assert count_packings(t, alpha, shapes) == len(every)
+    assert (sum(count_packings(t, alpha, (shape,)) for shape in shapes)
+            == sum(_is_regular_grid(pk) for pk in every))
+
+
+def test_search_rows_at_25():
+    rep = search_min_rect_tiling(25)
+    rows = [r for r in rep.per_ratio if r["t"] == 25]
+    zero = {"assignments": 0, "certified": 0, "inconclusive": 0, "regular_grid_packings": 1}
+    assert rows == [dict(t=25, alpha=alpha, packings=n, crossing_packings=c, refuted=c, **zero)
+                    for alpha, n, c in (("4/3", 12, 12), ("3/2", 78, 78), ("2", 46878, 46877),
+                                        ("3", 996, 995), ("4", 478, 441))]
+    assert [t for t, *_ in rep.accepted] == [16, 16]
+    assert rep.total_inconclusive == 0
+
+
+# (packings, crossing packings, regular-grid packings, non-crossing packings),
+# beyond the oracle's reach
+_COUNTS_36_49 = {
+    36: {"5/4": (17, 17, 1, 0), "4/3": (78, 77, 1, 1), "3/2": (3124, 3123, 2, 1),
+         "5/3": (37, 37, 1, 0), "2": (26782279, 26782277, 2, 2), "5/2": (184, 182, 1, 2),
+         "3": (400688, 400688, 2, 0), "4": (9262, 9261, 1, 1), "5": (3955, 3732, 1, 223)},
+    49: {"6/5": (21, 21, 1, 0), "5/4": (71, 71, 1, 0), "4/3": (531, 531, 1, 0),
+         "3/2": (143842, 143841, 1, 1), "5/3": (292, 290, 1, 2),
+         "2": (22531428713, 22531428712, 1, 1), "5/2": (1991, 1991, 1, 0),
+         "3": (82291974, 82291900, 1, 74), "4": (185823, 185822, 1, 1),
+         "5": (99380, 99379, 1, 1), "6": (37732, 36171, 1, 1561)},
+}
+
+
+@pytest.mark.parametrize("t", [36, pytest.param(49, marks=pytest.mark.slow)])
+def test_packing_counts_past_the_oracle(t):
+    got = {}
+    for alpha in eligible_ratios(t):
+        shapes = _piece_shapes(alpha)
+        n, flat = count_packings(t, alpha, shapes), len(enumerate_packings(t, alpha))
+        got[str(alpha)] = (n, n - flat, sum(count_packings(t, alpha, (s,)) for s in shapes), flat)
+    assert got == _COUNTS_36_49[t]
 
 
 # -- the closure's nogoods against the cut-point geometry ------------------------
@@ -272,7 +393,7 @@ _NON_CROSSING = [(9, Fraction(2)), (16, Fraction(3, 2)), (16, Fraction(2)), (16,
 
 @pytest.mark.parametrize("t,alpha", _NON_CROSSING)
 def test_assignment_domains_match_cut_point_oracle(t, alpha):
-    packings = [p for p in enumerate_packings(t, alpha) if p.max_vertex_degree() <= 3]
+    packings = enumerate_packings(t, alpha)
     assert packings
     for pk in packings:
         cuts = [{o: _edge_cuts(lay, piece) for o, lay in pk.layouts.items()}
@@ -291,7 +412,7 @@ def test_assignment_domains_match_cut_point_oracle(t, alpha):
     (16, Fraction(3), [0] * 8),
 ])
 def test_uncapped_assignment_counts(t, alpha, counts):
-    packings = [p for p in enumerate_packings(t, alpha) if p.max_vertex_degree() <= 3]
+    packings = enumerate_packings(t, alpha)
     assert [len(assignment_solutions(pk, cap=10 ** 6)) for pk in packings] == counts
 
 
@@ -317,8 +438,7 @@ _CERTIFIED_16 = [
 
 
 def _non_crossing_packings():
-    return [pk for t, alpha in _NON_CROSSING for pk in enumerate_packings(t, alpha)
-            if pk.max_vertex_degree() <= 3]
+    return [pk for t, alpha in _NON_CROSSING for pk in enumerate_packings(t, alpha)]
 
 
 def _closure_status(pk, known):

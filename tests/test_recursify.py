@@ -11,7 +11,8 @@ from arrwwid.recursify import (get_spec, recursify, lattice_degree, hex_vertex_d
                                coarse_degree, connected, displacement_bound,
                                exact_compare, owner, LatticeError, LabelledLattice,
                                LatticeSpec, default_window, label_grid, _hex_window0,
-                               _origin, _prototile, shifted_cube_box, shifted_square_box)
+                               _origin, _prototile, _THIRDS, shifted_cube_box,
+                               shifted_square_box)
 
 
 def test_counts_per_label():
@@ -344,6 +345,17 @@ def test_box_degrees_match_slow_scan(name, levels):
     for level in levels:
         ll = _lattice(name, level)
         assert lattice_degree(ll) == _slow_box_degree(ll), (name, level)
+
+
+@pytest.mark.parametrize("name,box", [("shifted-square", shifted_square_box),
+                                      ("shifted-cube", shifted_cube_box)])
+def test_label_grid_corners_are_the_boxes(name, box):
+    # the integer corner map of label_grid is 3 times each cell's exact box corner
+    for level in (0, 1):
+        cells = list(_lattice(name, level).cells)
+        got = np.array(cells) @ _THIRDS[name]
+        want = [[3 * v for v in box(cell)[:len(cell)]] for cell in cells]
+        assert got.tolist() == want, (name, level)
 
 
 def test_label_grid_paints_every_cell_once():

