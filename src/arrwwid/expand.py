@@ -662,16 +662,6 @@ def _vertex_stats_grid(ids, block=None):
     return tiles.reshape(-1), fragments.reshape(-1)
 
 
-def _box_blocks(dim):
-    """The blocks where boxes on a raster meet: the 2^d cells around a
-    lattice vertex and, in 3D, the 1x2x2 cells around a lattice edge
-    midpoint, where boxes can meet without sharing a lattice vertex."""
-    windows = [(2,) * dim]
-    if dim == 3:
-        windows += [tuple(1 if a == axis else 2 for a in range(3)) for axis in range(3)]
-    return [tuple(itertools.product(*map(range, w))) for w in windows]
-
-
 def _max_block_degree(ids, blocks):
     """Most distinct ids in any of the blocks, read at every anchor."""
     return max(int(_vertex_stats_grid(ids, b)[0].max(initial=0)) for b in blocks)
@@ -681,7 +671,8 @@ def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
     """Max interior vertex degree via rasterization (2D/3D rectilinear).
 
     Only the 2^d vertex blocks are read: a scan raster has no -1 cells and at
-    least 2 cells per axis, so each 3D 1x2x2 edge block of `_box_blocks` lies
-    inside a vertex block, which holds at least as many distinct tiles.
+    least 2 cells per axis, so each 3D 1x2x2 block around a lattice edge
+    midpoint lies inside a vertex block, which holds at least as many
+    distinct tiles.
     """
     return int(_vertex_stats_grid(rasterize(rs, depth, budget).ids)[0].max(initial=0))

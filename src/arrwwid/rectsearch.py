@@ -139,7 +139,7 @@ def _first_empty(filled):
     return (~filled & (filled + 1)).bit_length() - 1
 
 
-def enumerate_packings(t, alpha, budget=10 ** 6):
+def enumerate_packings(t, alpha):
     """The packings for (t, alpha) without a crossing, canonical under the
     rectangle symmetries, in canonical-key order.
 
@@ -149,8 +149,7 @@ def enumerate_packings(t, alpha, budget=10 ** 6):
     cell is the first empty one and the other three are in place.  A branch
     ends there: when three placed pieces have a corner at the first empty
     cell's lower-left point.  Crossing packings are counted by
-    `count_packings`, never listed.  Deterministic order; raises
-    RuntimeError past `budget` nodes.
+    `count_packings`, never listed.  Deterministic order.
     """
     (W, H), bits, boxes = _cut_lattice(t, alpha, _piece_shapes(alpha))
     P = H + 1       # lattice point (x, y) at x*P + y
@@ -165,13 +164,8 @@ def enumerate_packings(t, alpha, budget=10 ** 6):
     corners = [0] * ((W + 1) * P)   # placed pieces with a corner at each point
     pieces = []
     found = {}
-    nodes = 0
 
     def rec(filled):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise RuntimeError("packing enumeration exceeded budget of %d nodes" % budget)
         if filled == full:
             pk = Packing(t, alpha, (W, H), pieces)
             found.setdefault(pk.canonical_key(), pk)
@@ -482,7 +476,7 @@ def search_min_rect_tiling(t_max, assignment_cap=10 ** 6):
     report = SearchReport()
     for t in range(4, t_max + 1):
         for alpha in eligible_ratios(t):
-            packings = enumerate_packings(t, alpha, budget=inf)
+            packings = enumerate_packings(t, alpha)
             shapes = _piece_shapes(alpha)
             n = count_packings(t, alpha, shapes)
             entry = {"t": t, "alpha": str(alpha), "packings": n,

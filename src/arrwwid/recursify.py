@@ -12,9 +12,10 @@ The degree measurement reports the vertex degree of the limit tiling.  On the
 hexagonal lattice every lattice vertex touches only three cells, but a
 degenerating construction can squeeze four distinct tiles onto a single
 lattice edge (the edge collapses to a point in the limit), so hex lattices
-are audited per edge; square/cubic lattices are audited at lattice vertices
-and, in 3D, at edge-interior points.  Every audit reads one integer label
-raster (`label_grid`) through `expand._vertex_stats_grid`.
+are audited per edge; square/cubic lattices at the cells whose closed boxes
+hold a lattice vertex or, in 3D, an edge-interior point.  Every audit reads
+one integer label raster (`label_grid`, one entry per cell) through
+`expand._vertex_stats_grid`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import Coord, ZERO, ONE, HALF, SQRT3, coord, sqrt_compare
-from .expand import _box_blocks, _max_block_degree
+from .expand import BudgetError, DEFAULT_TILE_BUDGET, _max_block_degree
 
 
 class LatticeError(ValueError):
@@ -387,12 +388,17 @@ def recursify(spec, levels):
 
     Fine cell M·c + p, p in the prototile, keeps coarse cell c's top label.
     The labels materialized are `default_window`'s: a core tile plus the
-    ring around it, so that interior measurements are meaningful.
+    ring around it, so that interior measurements are meaningful.  More
+    cells than the tile budget raise BudgetError before any is built.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
     window = default_window(spec)
     proto = _prototile(spec)
+    n = len(window) * len(proto) ** levels
+    if n > DEFAULT_TILE_BUDGET:
+        raise BudgetError("%s at level %d has %d cells (budget %d)" % (
+            spec.name, levels, n, DEFAULT_TILE_BUDGET))
     frontier = {c: c for c in window}
     for _ in range(levels):
         fine = {}
@@ -424,34 +430,42 @@ _HEX_VERTEX_BLOCKS = (((0, 0), (0, 1), (-1, 1)),
                       ((0, 0), (0, -1), (1, -1)))
 
 
-# 3 times the lower corner of `shifted_square_box` / `shifted_cube_box`, an
-# integer linear map of the cell: (3i, 3j + i) and (3i + k, 3j + i - k, 3k)
-_THIRDS = {"shifted-square": np.array([[3, 1], [0, 3]]),
-           "shifted-cube": np.array([[3, 1, 0], [0, 3, 0], [1, -1, 3]])}
+@functools.lru_cache(maxsize=None)
+def _contact_blocks(kind):
+    """The cell offsets whose closed boxes hold one point, one block per
+    set up to translation (5 in 2D, 25 in 3D), taken at every vertex of the
+    lattice of a third of the cell side in cell 0's closed box and, in 3D,
+    at the midpoints of that lattice's edges, where boxes can meet without
+    sharing a vertex.  Six times `shifted_*_box` has integer corners."""
+    dim = 3 if kind == "shifted-cube" else 2
+    box = shifted_cube_box if dim == 3 else shifted_square_box
+    near = [(cell, [int(6 * v) for v in box(cell)])
+            for cell in itertools.product(range(-2, 3), repeat=dim)]
+    blocks = set()
+    for p in itertools.product(range(7), repeat=dim):
+        # in sixths: lattice vertices are even, an edge midpoint has one odd axis
+        if sum(v % 2 for v in p) > dim - 2:
+            continue
+        cells = sorted(cell for cell, b in near
+                       if all(b[a] <= p[a] <= b[dim + a] for a in range(dim)))
+        blocks.add(tuple(tuple(map(operator.sub, cell, cells[0])) for cell in cells))
+    return tuple(sorted(blocks))
 
 
 def label_grid(ll):
-    """The lattice's labels painted into one int32 raster.
+    """The lattice's labels in one int32 raster, each cell at its own index.
 
     Labels are numbered densely and -1 marks "no cell".  Hex cells sit at
-    their axial (q, r) index.  A shifted-square (shifted-cube) cell is a
-    3x3 (3x3x3) block on the lattice of a third of its side, the pitch
-    1/(3*5**level) of the coarse tiling, where its box from
-    `shifted_square_box` / `shifted_cube_box` has integer corners.
+    their axial (q, r) index, shifted cells at (i, j) or (i, j, k), moved so
+    that the least index per axis is 0.
     """
     dense = {}
     labels = np.array([dense.setdefault(lab, len(dense)) for lab in ll.cells.values()],
                       dtype=np.int32)
-    lo = np.array(list(ll.cells), dtype=np.int64)
-    if ll.spec.kind == "hex":
-        side = 1
-    else:
-        lo = lo @ _THIRDS[ll.spec.kind]
-        side = 3
-    lo -= lo.min(axis=0)
-    grid = np.full(tuple(lo.max(axis=0) + side), -1, dtype=np.int32)
-    for off in itertools.product(range(side), repeat=lo.shape[1]):
-        grid[tuple((lo + off).T)] = labels
+    idx = np.array(list(ll.cells), dtype=np.int64)
+    idx -= idx.min(axis=0)
+    grid = np.full(tuple(idx.max(axis=0) + 1), -1, dtype=np.int32)
+    grid[tuple(idx.T)] = labels
     return grid
 
 
@@ -461,14 +475,12 @@ def lattice_degree(ll):
     Read from `label_grid` by `expand._vertex_stats_grid`, where a block
     holding a -1 cell is not interior and counts 0.  hex: the four cells
     around each interior edge, which also catches tiles degenerating onto
-    an edge.  shifted-square: the 2x2 blocks at lattice vertices.
-    shifted-cube: the 2x2x2 vertex blocks plus the 1x2x2 blocks at
+    an edge.  shifted-square and shifted-cube: the contact blocks, the cells
+    whose closed boxes meet at a point, at lattice vertices and, in 3D, at
     edge-interior points.
     """
-    grid = label_grid(ll)
-    if ll.spec.kind == "hex":
-        return _max_block_degree(grid, _HEX_EDGE_BLOCKS)
-    return _max_block_degree(grid, _box_blocks(grid.ndim))
+    blocks = _HEX_EDGE_BLOCKS if ll.spec.kind == "hex" else _contact_blocks(ll.spec.kind)
+    return _max_block_degree(label_grid(ll), blocks)
 
 
 def hex_vertex_degree(ll):

@@ -8,7 +8,9 @@ from arrwwid import catalog
 from arrwwid.exact import ONE, coord
 from arrwwid.expand import (expand, vertex_degrees, count_tiles, tile_at,
                             rasterize, max_interior_degree_fast, BudgetError,
-                            scan_raster, _box_blocks, _max_block_degree, _vertex_stats_grid)
+                            scan_raster, _max_block_degree, _vertex_stats_grid)
+
+from test_recursify import _box_blocks
 
 
 def test_counts_and_partition(quadtree, daun, lifted_daun):

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import random
 from collections import Counter
@@ -7,12 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arrwwid.cli import main
+from arrwwid.expand import BudgetError, _max_block_degree
 from arrwwid.recursify import (get_spec, recursify, lattice_degree, hex_vertex_degree,
                                coarse_degree, connected, displacement_bound,
                                exact_compare, owner, LatticeError, LabelledLattice,
-                               LatticeSpec, default_window, label_grid, _hex_window0,
-                               _origin, _prototile, _THIRDS, shifted_cube_box,
+                               LatticeSpec, default_window, label_grid, _contact_blocks,
+                               _hex_window0, _origin, _prototile, shifted_cube_box,
                                shifted_square_box)
+
+RECURSIFY = importlib.import_module("arrwwid.recursify")   # the package re-exports recursify()
 
 
 def test_counts_per_label():
@@ -347,10 +352,123 @@ def test_box_degrees_match_slow_scan(name, levels):
         assert lattice_degree(ll) == _slow_box_degree(ll), (name, level)
 
 
+# -- reference: the third-pitch raster, each shifted cell a 3^d block ------------
+
+# 3 times the lower corner of `shifted_square_box` / `shifted_cube_box`, an
+# integer linear map of the cell: (3i, 3j + i) and (3i + k, 3j + i - k, 3k)
+_THIRDS = {"shifted-square": np.array([[3, 1], [0, 3]]),
+           "shifted-cube": np.array([[3, 1, 0], [0, 3, 0], [1, -1, 3]])}
+
+
+def _third_pitch_grid(ll):
+    """The labels painted into an int32 raster of a third of the cell side,
+    where every box has integer corners: each cell a 3x3 (3x3x3) block, -1
+    for "no cell", labels numbered densely as `label_grid` numbers them."""
+    dense = {}
+    labels = np.array([dense.setdefault(lab, len(dense)) for lab in ll.cells.values()],
+                      dtype=np.int32)
+    lo = np.array(list(ll.cells), dtype=np.int64) @ _THIRDS[ll.spec.kind]
+    lo -= lo.min(axis=0)
+    grid = np.full(tuple(lo.max(axis=0) + 3), -1, dtype=np.int32)
+    for off in itertools.product(range(3), repeat=lo.shape[1]):
+        grid[tuple((lo + off).T)] = labels
+    return grid
+
+
+def _box_blocks(dim):
+    """The blocks where boxes on a raster meet: the 2^d cells around a
+    lattice vertex and, in 3D, the 1x2x2 cells around a lattice edge
+    midpoint, where boxes can meet without sharing a lattice vertex."""
+    windows = [(2,) * dim]
+    if dim == 3:
+        windows += [tuple(1 if a == axis else 2 for a in range(3)) for axis in range(3)]
+    return [tuple(itertools.product(*map(range, w))) for w in windows]
+
+
+def _third_pitch_degree(ll):
+    grid = _third_pitch_grid(ll)
+    return _max_block_degree(grid, _box_blocks(grid.ndim))
+
+
+@pytest.mark.parametrize("name,levels", [("shifted-square", (0, 1, 2, 3)),
+                                         ("shifted-cube", (0, 1))])
+def test_contact_blocks_match_third_pitch_raster(name, levels):
+    for level in levels:
+        ll = _lattice(name, level)
+        assert lattice_degree(ll) == _third_pitch_degree(ll), (name, level)
+
+
+@pytest.mark.parametrize("name", ["shifted-square", "shifted-cube"])
+def test_contact_blocks_match_third_pitch_raster_on_random_windows(name):
+    # boxes of cells anywhere on the lattice, with holes and few labels, so
+    # that blocks holding a missing cell decide many maxima; the corner cell
+    # is kept, so a degree is at least 1
+    spec = get_spec(name)
+    dim = 3 if name == "shifted-cube" else 2
+    rng = random.Random(23)
+    degrees = Counter()
+    for _ in range(600):
+        lo = [rng.randint(-9, 9) for _ in range(dim)]
+        sides = [rng.randint(1, 5) for _ in range(dim)]
+        holes, n_labels = rng.choice((0, 0.1, 0.3, 0.6)), rng.randint(1, 5)
+        cells = {cell: rng.randrange(n_labels)
+                 for cell in itertools.product(*(range(a, a + n) for a, n in zip(lo, sides)))
+                 if cell == tuple(lo) or rng.random() >= holes}
+        ll = LabelledLattice(spec, 1, cells, set())
+        degree = lattice_degree(ll)
+        assert degree == _third_pitch_degree(ll), (name, cells)
+        degrees[degree] += 1
+    assert set(degrees) == set(range(1, dim + 2)), degrees
+
+
+@pytest.mark.parametrize("name,box,count", [("shifted-square", shifted_square_box, 5),
+                                            ("shifted-cube", shifted_cube_box, 25)])
+def test_contact_blocks_are_the_exact_box_contacts(name, box, count):
+    # every third-pitch point of cell 0's closed box (and, in 3D, every
+    # midpoint between two of them along an axis), in exact fractions: the
+    # cells whose closed box holds it, moved so that the least is cell 0,
+    # are one of the blocks, and every block is met
+    blocks = _contact_blocks(name)
+    assert len(blocks) == len(set(blocks)) == count
+    dim = len(blocks[0][0])
+    assert all(list(block) == sorted(block) and block[0] == (0,) * dim for block in blocks)
+    boxes = {cell: box(cell) for cell in itertools.product(range(-2, 3), repeat=dim)}
+    points = set(itertools.product([Fraction(v, 3) for v in range(4)], repeat=dim))
+    if dim == 3:
+        points |= {p[:ax] + (p[ax] + Fraction(1, 6),) + p[ax + 1:]
+                   for p in points for ax in range(3) if p[ax] < 1}
+    met = set()
+    for p in points:
+        cells = sorted(cell for cell, b in boxes.items()
+                       if all(b[a] <= p[a] <= b[dim + a] for a in range(dim)))
+        assert (0,) * dim in cells and len(cells) <= dim + 1, p
+        met.add(tuple(tuple(u - v for u, v in zip(cell, cells[0])) for cell in cells))
+    assert met == set(blocks)
+
+
+def test_recursify_refuses_past_the_tile_budget(monkeypatch, capsys):
+    # shifted-square level 1 has 9 * 25 = 225 cells
+    spec = get_spec("shifted-square")
+    monkeypatch.setattr(RECURSIFY, "DEFAULT_TILE_BUDGET", 225)
+    assert len(recursify(spec, 1).cells) == 225
+    monkeypatch.setattr(RECURSIFY, "DEFAULT_TILE_BUDGET", 224)
+
+    def no_substitution(*args):
+        raise AssertionError("a substitution step ran before the budget check")
+
+    monkeypatch.setattr(RECURSIFY, "_origin", no_substitution)
+    with pytest.raises(BudgetError, match="225 cells"):
+        recursify(spec, 1)
+    for argv in (["recursify", "--spec", "shifted-square", "--levels", "1"],
+                 ["render", "--spec", "shifted-square", "--levels", "1"]):
+        assert main(argv) == 2, argv
+        assert "budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,box", [("shifted-square", shifted_square_box),
                                       ("shifted-cube", shifted_cube_box)])
 def test_label_grid_corners_are_the_boxes(name, box):
-    # the integer corner map of label_grid is 3 times each cell's exact box corner
+    # the reference raster's corner map is 3 times each cell's exact box corner
     for level in (0, 1):
         cells = list(_lattice(name, level).cells)
         got = np.array(cells) @ _THIRDS[name]
@@ -359,13 +477,14 @@ def test_label_grid_corners_are_the_boxes(name, box):
 
 
 def test_label_grid_paints_every_cell_once():
-    # dense ids follow first appearance, so each id's painted raster cells
-    # are its label's cell count times the cells per lattice cell
-    for name, level, side in (("hex-9", 2, 1), ("shifted-square", 1, 3),
-                              ("shifted-cube", 0, 3)):
+    # dense ids follow first appearance; each cell's id sits at the cell's
+    # index less the least index per axis, and nothing else is painted
+    for name, level in (("hex-9", 2), ("shifted-square", 1), ("shifted-cube", 1)):
         ll = _lattice(name, level)
         grid = label_grid(ll)
         assert grid.dtype == np.int32
-        per_label = list(Counter(ll.cells.values()).values())
-        assert np.array_equal(np.bincount(grid[grid >= 0]),
-                              np.array(per_label) * side ** grid.ndim)
+        dense = {}
+        least = np.array(list(ll.cells)).min(axis=0)
+        for cell, lab in ll.cells.items():
+            assert grid[tuple(np.array(cell) - least)] == dense.setdefault(lab, len(dense))
+        assert np.count_nonzero(grid >= 0) == len(ll.cells)
