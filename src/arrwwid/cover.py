@@ -6,6 +6,15 @@ maximal runs of order-consecutive tiles (fragments).  The estimator sweeps
 balls centered on every interior vertex of chosen expansion depths, plus
 seeded pseudo-random balls, and reports the worst counts with witnesses.
 These are exact lower bounds on the true worst case.
+
+On a rule set with a state table, a query whose center offsets and
+half-widths are rational is converted once into integers (`_TableQuery`),
+and the cover runs on integers from there to its fragments: the
+inside-the-unit test, the canonical level, the pruning of the `table_walk`
+descent, run joining and gap merging on parameter numerators, and the total
+area from the integer length sum.  Intervals and the area become exact
+rationals only in the report.  Every other query descends on exact boxes
+through `walk`, which stays the oracle of the integer path.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 from .exact import ZERO, ONE, Coord, coord
 from .rules import RuleError
 from .expand import (BudgetError, DEFAULT_TILE_BUDGET, expand, prefix_table, scan_raster,
-                     state_table, table_walk, walk, _vertex_stats_grid)
+                     state_table, table_walk, walk, _block_cells, _first_seen)
 from .curves import Interval
 
 
@@ -139,19 +148,20 @@ def reference_side(rs):
     return min(rs.unit_rule.base.bounding_box().extent())
 
 
-_LEVEL_CACHE = weakref.WeakKeyDictionary()
+_CONSTANTS = weakref.WeakKeyDictionary()
 MAX_LEVEL = 64                  # the deepest canonical level searched
 
 
-def _level_constants(rs):
-    """(reference side, subdivision ratio) of the rule set, computed once;
-    both as Fractions when both are rational, else both as Coords."""
-    consts = _LEVEL_CACHE.get(rs)
+def _constants(rs):
+    """(reference side, subdivision ratio, unit measure) of the rule set,
+    computed once; the first two as Fractions when both are rational, else
+    both as Coords, and the measure as a Coord."""
+    consts = _CONSTANTS.get(rs)
     if consts is None:
         side, lam = reference_side(rs), subdivision_ratio(rs)
         if side.is_rational and lam.is_rational:
             side, lam = side.as_fraction(), lam.as_fraction()
-        consts = _LEVEL_CACHE[rs] = (side, lam)
+        consts = _CONSTANTS[rs] = (side, lam, rs.unit_rule.base.measure())
     return consts
 
 
@@ -162,51 +172,168 @@ def _exact(x):
     return Fraction(x)
 
 
+def _level(a, b, lam_n, lam_d):
+    """The canonical level where side / (kappa r) = a / b and the subdivision
+    ratio is lam_n / lam_d: the least level L with a / b <= lam**(L + 1),
+    that is side / lam**L <= kappa lam r, and at level 0 also side > kappa r.
+
+    One inequality per level; on integers when every value is rational,
+    else on Coords with lam_d = 1.
+    """
+    lhs, rhs, level = a * lam_d, b * lam_n, 0
+    while lhs > rhs:
+        level += 1
+        if level > MAX_LEVEL:
+            raise RuleError("no canonical level below %d" % MAX_LEVEL)
+        lhs, rhs = lhs * lam_d, rhs * lam_n
+    if level == 0 and a <= b:
+        raise RuleError("radius too large: level-0 window violated")
+    return level
+
+
 def canonical_level(rs, r, kappa=Fraction(2)):
     """Unique level where the tile's reference side is in (kappa*r, kappa*lam*r].
 
     kappa defaults to the window used for regular square tilings; catalog
-    entries carry their own constants.  The comparisons run on Fractions
+    entries carry their own constants.  The comparisons run on integers
     when every value is rational.
     """
     r, kappa = _exact(r), _exact(kappa)
     if r <= 0:
         raise ValueError("radius must be positive")
-    side, lam = _level_constants(rs)
-    hi = kappa * lam * r
-    if side > hi:
-        k = 0
-        while side > hi:                     # level k's side is side / lam**k
-            hi = hi * lam
-            k += 1
-            if k > MAX_LEVEL:
-                raise RuleError("no canonical level below %d" % MAX_LEVEL)
-        return k
-    if side * lam <= hi:                     # side <= hi / lam = kappa * r
-        raise RuleError("radius too large: level-0 window violated")
-    return 0
+    side, lam, _ = _constants(rs)
+    if isinstance(side, Fraction) and isinstance(r, Fraction) and isinstance(kappa, Fraction):
+        return _level(side.numerator * kappa.denominator * r.denominator,
+                      side.denominator * kappa.numerator * r.numerator,
+                      lam.numerator, lam.denominator)
+    return _level(coord(side), coord(kappa) * coord(r), coord(lam), 1)
 
 
-def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET):
-    """Tiles at the canonical level whose closure meets the query.
+def _area(rs, length, den):
+    """length / den of the unit's measure, as a Coord."""
+    m = _constants(rs)[2]
+    return Coord(length * m.a, length * m.b, den * m.c)
+
+
+class _TableQuery:
+    """A query converted once into integers on the rule set's state table.
+
+    `center` holds the center's offsets from the unit's min corner and
+    `half` the half-widths, as numerators in units of p1 / `unit`, where p1
+    is the table's depth-1 pitch; a depth-d corner or extent of n cells of
+    its pitch p1 * k**(1 - d) is then n * unit * k**(1 - d) of these units.
+    """
+
+    __slots__ = ("table", "ball", "unit", "center", "half")
+
+    @classmethod
+    def of(cls, table, q, origin):
+        """The query on `table`, for a unit with min corner `origin`, or
+        None unless its center and half-widths are rational."""
+        values = q.center + q.bounding_halfwidths() + origin
+        if any(v.b for v in values):
+            return None
+        m = math.lcm(*(v.c for v in values))
+        num, den = table.p1.numerator, table.p1.denominator
+        ints = [v.a * (m // v.c) * den for v in values]
+        dim = q.dim
+        self = cls.__new__(cls)
+        self.table, self.ball, self.unit = table, q.kind == "ball", m * num
+        self.center = [c - o for c, o in zip(ints[:dim], ints[2 * dim:])]
+        self.half = ints[dim:2 * dim]
+        return self
+
+    def inside_unit(self):
+        """`QueryRange.inside_unit` on the unit box of extent[0] cells of
+        the depth-0 pitch k * p1."""
+        size = self.unit * self.table.k
+        return all(c >= h and c + h <= e * size
+                   for c, h, e in zip(self.center, self.half, self.table.extent[0].tolist()))
+
+    def level(self, kappa):
+        """`canonical_level` for the largest half-width: the reference side is
+        the unit's least extent, the subdivision ratio k."""
+        r = max(self.half)
+        if r <= 0:
+            raise ValueError("radius must be positive")
+        k, kappa = self.table.k, _exact(kappa)
+        side = min(self.table.extent[0].tolist()) * k * self.unit
+        if isinstance(kappa, Coord):             # a sqrt(3) part
+            return _level(side, kappa * r, k, 1)
+        return _level(side * kappa.denominator, kappa.numerator * r, k, 1)
+
+    def misses(self, level):
+        """`table_walk` pruning at the cover level: the same closed-closed
+        test as `QueryRange.intersects_box`, on integers.  The query is
+        scaled by k**level; a depth-d node's corner and extent scale by
+        mult[d] = unit * k**(level + 1 - d)."""
+        k = self.table.k
+        scale = k ** level
+        center = [c * scale for c in self.center]
+        mult = [self.unit * k ** (level + 1 - d) for d in range(level + 1)]
+        extent = self.table.extent.tolist()
+        if self.ball:
+            r = self.half[0] * scale
+            r2 = r * r
+
+            def misses(address, state, corner, lo, length):
+                m = mult[len(address)]
+                d2 = 0
+                for c, p, e in zip(center, corner, extent[state]):
+                    p *= m
+                    if c < p:
+                        d2 += (p - c) * (p - c)
+                    else:
+                        p += e * m
+                        if c > p:
+                            d2 += (c - p) * (c - p)
+                return d2 > r2
+
+            return misses
+        lows = [c - h * scale for c, h in zip(center, self.half)]
+        highs = [c + h * scale for c, h in zip(center, self.half)]
+
+        def misses(address, state, corner, lo, length):
+            m = mult[len(address)]
+            return any(p * m > h or l > (p + e) * m
+                       for l, h, p, e in zip(lows, highs, corner, extent[state]))
+
+        return misses
+
+
+def _table_misses(rs, table, q, level):
+    """`table_walk` pruning for q at `level`, or None unless q's center
+    offsets and half-widths are rational."""
+    tq = _TableQuery.of(table, q, rs.unit_rule.base.lo)
+    return None if tq is None else tq.misses(level)
+
+
+def _cover(rs, q, level, kappa, budget):
+    """(level, leaves): the canonical level unless `level` is given, and the
+    scanning-order nodes of that level whose closure meets q, each ending in
+    its parameter numerators (lo, length) over den**level.
 
     On a rule set with a state table and a query whose center (from the
-    unit's min corner) and half-widths are rational, the descent prunes on
-    integer boxes (`table_walk`); otherwise it walks exact transforms.  Both
-    visit the same nodes, and more than `budget` of them raise BudgetError.
+    unit's min corner) and half-widths are rational, the query is
+    converted once into integers (`_TableQuery`) and everything after runs
+    on them, the descent through `table_walk`; otherwise on exact values
+    through `walk`.  Both visit the same nodes, and more than `budget` of
+    them raise BudgetError.
     """
-    if not q.inside_unit(rs.unit_rule.base):
-        raise RuleError("query is not contained in the unit tile")
-    if level is None:
-        if q.kind == "ball":
-            level = canonical_level(rs, q.radius, kappa)
-        else:
-            level = canonical_level(rs, max(q.half_extents), kappa)
     base = rs.unit_rule.base
     table = state_table(rs)
-    misses = None if table is None else _table_misses(rs, table, q, level)
-    if misses is None:
-        table, misses = None, _exact_misses(rs, q)
+    tq = None if table is None else _TableQuery.of(table, q, base.lo)
+    if not (q.inside_unit(base) if tq is None else tq.inside_unit()):
+        raise RuleError("query is not contained in the unit tile")
+    if tq is None:
+        table = None
+        if level is None:
+            level = canonical_level(rs, max(q.bounding_halfwidths()), kappa)
+        misses = _exact_misses(rs, q)
+    else:
+        if level is None:
+            level = tq.level(kappa)
+        misses = tq.misses(level)
     visited = 0
 
     def counted(*node):
@@ -217,15 +344,26 @@ def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET
                               "(cover level %d)" % (visited, budget, level))
         return misses(*node)
 
-    leaves = list(_scan(rs, level, counted, table))
+    return level, list(_scan(rs, level, counted, table))
+
+
+def _report(rs, q, level, leaves, runs, length, measure):
+    """The CoverReport of the cover `leaves`, grouped into `runs` of scan
+    nodes, of total parameter length `length` over den**level: the one
+    place where intervals and the area leave integers."""
     den = prefix_table(rs)[0] ** level
     addresses = [leaf[0] for leaf in leaves]
-    intervals = [Interval(Fraction(leaf[-2], den), Fraction(leaf[-2] + leaf[-1], den))
-                 for leaf in leaves]
+    intervals = [Interval.of(leaf[-2], leaf[-2] + leaf[-1], den) for leaf in leaves]
     # a tile's parameter length is its share of the unit's area
-    total = coord(Fraction(sum(leaf[-1] for leaf in leaves), den)) * base.measure()
-    return CoverReport(q, level, addresses, intervals, [addresses] if addresses else [],
-                       total, q.measure())
+    return CoverReport(q, level, addresses, intervals, [[leaf[0] for leaf in run] for run in runs],
+                       _area(rs, length, den), measure)
+
+
+def cover_tiles(rs, q, level=None, kappa=Fraction(2), budget=DEFAULT_TILE_BUDGET):
+    """Tiles at the canonical level whose closure meets the query (`_cover`)."""
+    level, leaves = _cover(rs, q, level, kappa, budget)
+    return _report(rs, q, level, leaves, [leaves] if leaves else [],
+                   sum(leaf[-1] for leaf in leaves), q.measure())
 
 
 def _scan(rs, level, prune, table):
@@ -247,114 +385,59 @@ def _exact_misses(rs, q):
     return misses
 
 
-def _table_misses(rs, table, q, level):
-    """`table_walk` pruning: the same closed-closed test as
-    `QueryRange.intersects_box`, on integers, or None unless the query's
-    center offsets and half-widths are rational.
-
-    The query is scaled once into cells of the cover level's pitch and its
-    denominators cleared; a depth-d node's corner and extent then scale by
-    mult[d] = scale * k**(level - d).
-    """
-    values = [c - o for c, o in zip(q.center, rs.unit_rule.base.lo)]
-    values += q.bounding_halfwidths()
-    if not all(v.is_rational for v in values):
-        return None
-    pitch = table.p1 * Fraction(table.k) ** (1 - level)
-    values = [v.as_fraction() / pitch for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    values = [v.numerator * (scale // v.denominator) for v in values]
-    center, half = values[:q.dim], values[q.dim:]
-    mult = [scale * table.k ** (level - d) for d in range(level + 1)]
-    extent = table.extent.tolist()
-    if q.kind == "ball":
-        r2 = half[0] * half[0]
-
-        def misses(address, state, corner, lo, length):
-            m = mult[len(address)]
-            d2 = 0
-            for c, p, e in zip(center, corner, extent[state]):
-                p *= m
-                if c < p:
-                    d2 += (p - c) * (p - c)
-                else:
-                    p += e * m
-                    if c > p:
-                        d2 += (c - p) * (c - p)
-            return d2 > r2
-
-        return misses
-    lows = [c - h for c, h in zip(center, half)]
-    highs = [c + h for c, h in zip(center, half)]
-
-    def misses(address, state, corner, lo, length):
-        m = mult[len(address)]
-        return any(p * m > h or l > (p + e) * m
-                   for l, h, p, e in zip(lows, highs, corner, extent[state]))
-
-    return misses
-
-
 def cover_fragments(rs, q, level=None, kappa=Fraction(2), merge_budget=None,
                     budget=DEFAULT_TILE_BUDGET):
     """Cover grouped into maximal runs of order-consecutive tiles.
 
     merge_budget, when set, greedily merges adjacent runs (including the
     intervening tiles) while total area stays at most merge_budget times the
-    query measure.
+    query measure.  Runs join and merge on parameter numerators.
     """
-    report = cover_tiles(rs, q, level=level, kappa=kappa, budget=budget)
-    runs = []
-    for addr, iv in zip(report.tiles, report.intervals):
-        if runs and runs[-1][-1][1].hi == iv.lo:
-            runs[-1].append((addr, iv))
+    level, leaves = _cover(rs, q, level, kappa, budget)
+    runs, end = [], None
+    for leaf in leaves:
+        if leaf[-2] == end:
+            runs[-1].append(leaf)
         else:
-            runs.append([(addr, iv)])
+            runs.append([leaf])
+        end = leaf[-2] + leaf[-1]
+    length, measure = sum(leaf[-1] for leaf in leaves), q.measure()
     if merge_budget is not None and len(runs) > 1:
-        runs = _merge_runs(rs, runs, report, merge_budget)
-    report.fragments = [[a for a, _ in run] for run in runs]
-    return report
+        length = _merge_runs(rs, runs, level, length, merge_budget * measure)
+    return _report(rs, q, level, leaves, runs, length, measure)
 
 
 def _addresses_between(rs, lo, hi, level):
-    """(address, interval) of the level tiles inside [lo, hi], in scanning order.
+    """The scan nodes of the level tiles inside [lo, hi], numerators over
+    den**level, in scanning order.
 
     lo and hi are ends of level tiles, so every level tile lies either inside
-    [lo, hi] or outside it.  The pruning reads parameter intervals only.
+    [lo, hi] or outside it.  The pruning reads parameter numerators only.
     """
     den = prefix_table(rs)[0]
+    scale = [den ** (level - d) for d in range(level + 1)]
 
     def outside(address, *node):
-        t_lo, length, scale = node[-2], node[-1], den ** len(address)
-        return t_lo >= hi * scale or t_lo + length <= lo * scale
+        s = scale[len(address)]
+        return node[-2] * s >= hi or (node[-2] + node[-1]) * s <= lo
 
-    scale = den ** level
-    return [(leaf[0], Interval(Fraction(leaf[-2], scale), Fraction(leaf[-2] + leaf[-1], scale)))
-            for leaf in _scan(rs, level, outside, state_table(rs))]
+    return list(_scan(rs, level, outside, state_table(rs)))
 
 
-def _merge_runs(rs, runs, report, merge_budget):
-    """Greedy smallest-gap-first merging while total area stays at most
-    merge_budget times the query measure; gap tiles join the merged run."""
-    measure = report.query.measure()
-    unit_area = rs.unit_rule.base.measure()
-    total = report.total_area
-    level = report.level
+def _merge_runs(rs, runs, level, length, limit):
+    """Greedy smallest-gap-first merging of `runs` (in place) while the area
+    of parameter length `length` plus the gaps stays at most `limit`; gap
+    tiles join the merged run.  Returns the merged length."""
+    den = prefix_table(rs)[0] ** level
     while len(runs) > 1:
-        best = None
-        for i in range(len(runs) - 1):
-            gap = runs[i + 1][0][1].lo - runs[i][-1][1].hi
-            if best is None or gap < best[0]:
-                best = (gap, i)
-        gap_frac, i = best
-        added = coord(gap_frac) * unit_area
-        if float(total + added) > merge_budget * measure:
+        gap, i = min((b[0][-2] - a[-1][-2] - a[-1][-1], i)
+                     for i, (a, b) in enumerate(zip(runs, runs[1:])))
+        if float(_area(rs, length + gap, den)) > limit:
             break
-        total = total + added
-        fillers = _addresses_between(rs, runs[i][-1][1].hi, runs[i + 1][0][1].lo, level)
-        runs[i:i + 2] = [runs[i] + fillers + runs[i + 1]]
-    report.total_area = total
-    return runs
+        length += gap
+        lo = runs[i][-1][-2] + runs[i][-1][-1]
+        runs[i:i + 2] = [runs[i] + _addresses_between(rs, lo, lo + gap, level) + runs[i + 1]]
+    return length
 
 
 # -- estimation ---------------------------------------------------------------
@@ -421,6 +504,24 @@ def window_radii(rs, depth, kappa, n):
         t = Fraction(2 * i + 1, 2 * n)
         out.append(coord(lo + (hi - lo) * t))
     return out
+
+
+def _vertex_stats_grid(ids, block=None):
+    """(tiles, fragments) per block of raster cells (`expand._block_cells`),
+    flattened over the anchors: tiles counts the distinct ids in the block
+    and fragments the runs of consecutive scanning positions among them,
+    that is the distinct ids v whose v - 1 is not in the block; both are 0
+    where the block holds a -1 cell."""
+    cells, inside = _block_cells(ids, block)
+    tiles = np.zeros(inside.shape, dtype=np.int64)
+    fragments = np.zeros(inside.shape, dtype=np.int64)
+    for c, new in _first_seen(cells):
+        tiles += new
+        below = c - 1
+        for d in cells:                   # ... and starts a run: no c - 1
+            new &= d != below
+        fragments += new
+    return (tiles * inside).reshape(-1), (fragments * inside).reshape(-1)
 
 
 def estimate_arrwwid(rs, plan=None, kappa=Fraction(2), is_order=True,

@@ -35,6 +35,16 @@ class Interval:
         if not (0 <= self.lo <= self.hi <= 1):
             raise ValueError("interval out of range: [%s, %s]" % (lo, hi))
 
+    @classmethod
+    def of(cls, lo, hi, den):
+        """[lo/den, hi/den] from integer numerators, checked as integers."""
+        if not 0 <= lo <= hi <= den:
+            raise ValueError("interval out of range: [%s/%s, %s/%s]" % (lo, den, hi, den))
+        iv = cls.__new__(cls)
+        iv.lo = Fraction(lo, den)
+        iv.hi = Fraction(hi, den)
+        return iv
+
     @property
     def length(self):
         return self.hi - self.lo
@@ -61,8 +71,7 @@ def tile_interval(rs, address):
         ch = rule.children[i]
         rev ^= ch.reversed
         rule_name = ch.rule
-    scale = den ** len(address)
-    return Interval(Fraction(lo, scale), Fraction(lo + length, scale))
+    return Interval.of(lo, lo + length, den ** len(address))
 
 
 def scan_leaves(rs, depth, budget=DEFAULT_TILE_BUDGET):

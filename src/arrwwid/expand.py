@@ -626,45 +626,51 @@ def rasterize(rs, depth, budget=DEFAULT_TILE_BUDGET):
     return LatticeRaster(ids, pitch, rs.unit_rule.base.lo, depth)
 
 
-def _vertex_stats_grid(ids, block=None):
-    """(tiles, fragments) per block of raster cells, vectorized.
+def _block_cells(ids, block=None):
+    """(cells, inside): a block of raster cells read at every anchor cell.
 
     A block is a tuple of cell offsets, read at every anchor cell whose
     offsets all fall inside the raster: by default the 2^d cells around one
     lattice vertex, a rectangular window is the `itertools.product` of
-    ranges, and a hexagonal raster takes axial offsets.  tiles counts the
-    distinct ids in the block and fragments the runs of consecutive
-    scanning positions among them, that is the distinct ids v whose v - 1
-    is not in the block.  A -1 cell means "no cell", so a block holding one
-    is not interior and gets 0 tiles and 0 fragments.  The counts are built
-    from whole-raster comparisons, one pair of offsets at a time.
+    ranges, and a hexagonal raster takes axial offsets.  cells holds one
+    whole-raster view per offset, inside marks the anchors whose cells are
+    all >= 0: a -1 cell means "no cell", so a block holding one is not
+    interior.
     """
     block = block or tuple(itertools.product((0, 1), repeat=ids.ndim))
     lo, hi = np.min(block, axis=0), np.max(block, axis=0)
     n = tuple(max(s - (h - l), 0) for s, l, h in zip(ids.shape, lo, hi))
     cells = [ids[tuple(slice(o - l, o - l + k) for o, l, k in zip(off, lo, n))]
              for off in block]
-    tiles = np.zeros(n, dtype=np.int64)
-    fragments = np.zeros(n, dtype=np.int64)
     inside = np.ones(n, dtype=bool)
-    for i, c in enumerate(cells):
+    for c in cells:
         inside &= c >= 0
-        new = np.ones(n, dtype=bool)      # c differs from every earlier cell
+    return cells, inside
+
+
+def _first_seen(cells):
+    """Each block cell with the mask of anchors where its id differs from
+    every earlier cell's: the distinct ids, one pair of offsets at a time."""
+    for i, c in enumerate(cells):
+        new = np.ones(c.shape, dtype=bool)
         for d in cells[:i]:
             new &= c != d
+        yield c, new
+
+
+def _block_tiles(ids, block=None):
+    """Distinct ids per block of raster cells (`_block_cells`), flattened
+    over the anchors; 0 where the block holds a -1 cell."""
+    cells, inside = _block_cells(ids, block)
+    tiles = np.zeros(inside.shape, dtype=np.int64)
+    for _, new in _first_seen(cells):
         tiles += new
-        below = c - 1
-        for d in cells:                   # ... and starts a run: no c - 1
-            new &= d != below
-        fragments += new
-    tiles *= inside
-    fragments *= inside
-    return tiles.reshape(-1), fragments.reshape(-1)
+    return (tiles * inside).reshape(-1)
 
 
 def _max_block_degree(ids, blocks):
     """Most distinct ids in any of the blocks, read at every anchor."""
-    return max(int(_vertex_stats_grid(ids, b)[0].max(initial=0)) for b in blocks)
+    return max(int(_block_tiles(ids, b).max(initial=0)) for b in blocks)
 
 
 def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
@@ -675,4 +681,4 @@ def max_interior_degree_fast(rs, depth, budget=DEFAULT_TILE_BUDGET):
     midpoint lies inside a vertex block, which holds at least as many
     distinct tiles.
     """
-    return int(_vertex_stats_grid(rasterize(rs, depth, budget).ids)[0].max(initial=0))
+    return int(_block_tiles(rasterize(rs, depth, budget).ids).max(initial=0))

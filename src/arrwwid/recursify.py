@@ -15,7 +15,7 @@ lattice edge (the edge collapses to a point in the limit), so hex lattices
 are audited per edge; square/cubic lattices at the cells whose closed boxes
 hold a lattice vertex or, in 3D, an edge-interior point.  Every audit reads
 one integer label raster (`label_grid`, one entry per cell) through
-`expand._vertex_stats_grid`.
+`expand._block_tiles`.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def label_grid(ll):
 def lattice_degree(ll):
     """Maximum number of distinct labels meeting at a lattice feature.
 
-    Read from `label_grid` by `expand._vertex_stats_grid`, where a block
+    Read from `label_grid` by `expand._block_tiles`, where a block
     holding a -1 cell is not interior and counts 0.  hex: the four cells
     around each interior edge, which also catches tiles degenerating onto
     an edge.  shifted-square and shifted-cube: the contact blocks, the cells

@@ -6,9 +6,11 @@ import pytest
 
 from arrwwid import catalog
 from arrwwid.exact import ONE, coord
+from arrwwid.cover import _vertex_stats_grid
 from arrwwid.expand import (expand, vertex_degrees, count_tiles, tile_at,
                             rasterize, max_interior_degree_fast, BudgetError,
-                            scan_raster, _max_block_degree, _vertex_stats_grid)
+                            scan_raster, _block_tiles, _max_block_degree)
+from arrwwid.recursify import _HEX_EDGE_BLOCKS, _HEX_VERTEX_BLOCKS, _contact_blocks
 
 from test_recursify import _box_blocks
 
@@ -135,3 +137,49 @@ def test_vertex_blocks_alone_give_the_3d_degree(name, depth):
     rs = catalog.builtin(name).ruleset
     ids, _ = scan_raster(rs, depth)
     assert max_interior_degree_fast(rs, depth) == _max_block_degree(ids, _box_blocks(3))
+
+
+def _combined_stats_grid(ids, block=None):
+    """The one-pass reader that built tile and fragment counts together,
+    from whole-raster comparisons, one pair of offsets at a time."""
+    block = block or tuple(itertools.product((0, 1), repeat=ids.ndim))
+    lo, hi = np.min(block, axis=0), np.max(block, axis=0)
+    n = tuple(max(s - (h - l), 0) for s, l, h in zip(ids.shape, lo, hi))
+    cells = [ids[tuple(slice(o - l, o - l + k) for o, l, k in zip(off, lo, n))]
+             for off in block]
+    tiles = np.zeros(n, dtype=np.int64)
+    fragments = np.zeros(n, dtype=np.int64)
+    inside = np.ones(n, dtype=bool)
+    for i, c in enumerate(cells):
+        inside &= c >= 0
+        new = np.ones(n, dtype=bool)      # c differs from every earlier cell
+        for d in cells[:i]:
+            new &= c != d
+        tiles += new
+        below = c - 1
+        for d in cells:                   # ... and starts a run: no c - 1
+            new &= d != below
+        fragments += new
+    tiles *= inside
+    fragments *= inside
+    return tiles.reshape(-1), fragments.reshape(-1)
+
+
+@pytest.mark.parametrize("shape,blocks", [
+    ((13, 11), [None] + _box_blocks(2) + list(_contact_blocks("shifted-square"))
+     + list(_HEX_EDGE_BLOCKS + _HEX_VERTEX_BLOCKS)),
+    ((7, 9, 6), [None] + _box_blocks(3) + list(_contact_blocks("shifted-cube")))])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_readers_match_the_combined_reader(shape, blocks, seed):
+    # few labels, so blocks repeat ids and hold runs; about one cell in six -1
+    ids = np.random.default_rng(seed).integers(-1, 5, size=shape).astype(np.int32)
+    assert (ids == -1).any()
+    for block in blocks:
+        want_tiles, want_fragments = _combined_stats_grid(ids, block)
+        assert (want_tiles == 0).any()
+        assert (want_tiles > 1).any() or len(block) == 1
+        for got, want in zip((_block_tiles(ids, block),) + _vertex_stats_grid(ids, block),
+                             (want_tiles, want_tiles, want_fragments)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), block
+    assert _max_block_degree(ids, blocks[1:]) == max(
+        int(_combined_stats_grid(ids, b)[0].max(initial=0)) for b in blocks[1:])

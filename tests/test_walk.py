@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from arrwwid import catalog, cover
-from arrwwid.cover import (QueryRange, canonical_level, cover_fragments, cover_tiles,
-                           subdivision_ratio, window_radii, _exact_misses, _table_misses)
+from arrwwid.cover import (MAX_LEVEL, QueryRange, canonical_level, cover_fragments, cover_tiles,
+                           reference_side, subdivision_ratio, window_radii, _exact_misses,
+                           _table_misses, _TableQuery)
 from arrwwid.curves import Interval, tile_interval
-from arrwwid.exact import ZERO, Coord, coord
+from arrwwid.exact import SQRT3, ZERO, Coord, coord
 from arrwwid.expand import (BudgetError, StateTable, count_tiles, expand, lattice_pitch,
                             prefix_table, scan_raster, state_table, table_walk, tile_at, walk,
                             _compile_states)
@@ -414,6 +415,55 @@ def test_integer_covers_match_exact_path_off_the_origin(monkeypatch):
                                Fraction(2))
 
 
+def _fraction_fragments(rs, report, merge_budget):
+    """Runs joined and merged on the report's Fraction intervals: a tile
+    joins the run whose last interval ends where its own begins; the
+    smallest gap merges first while the exact area, as a float, stays at
+    most merge_budget times the query measure, and the level tiles inside
+    the gap, found on Fraction intervals, join the merged run.  Returns
+    (fragments, total area)."""
+    runs = []
+    for address, iv in zip(report.tiles, report.intervals):
+        if runs and runs[-1][-1][1].hi == iv.lo:
+            runs[-1].append((address, iv))
+        else:
+            runs.append([(address, iv)])
+    total, unit_area = report.total_area, rs.unit_rule.base.measure()
+    den = prefix_table(rs)[0]
+    while merge_budget is not None and len(runs) > 1:
+        gaps = [b[0][1].lo - a[-1][1].hi for a, b in zip(runs, runs[1:])]
+        i = gaps.index(min(gaps))
+        added = coord(gaps[i]) * unit_area
+        if float(total + added) > merge_budget * report.query.measure():
+            break
+        total = total + added
+        lo, hi = runs[i][-1][1].hi, runs[i + 1][0][1].lo
+
+        def outside(address, *node):
+            scale = den ** len(address)
+            return (Fraction(node[-2], scale) >= hi
+                    or Fraction(node[-2] + node[-1], scale) <= lo)
+
+        fillers = [(leaf[0], tile_interval(rs, leaf[0]))
+                   for leaf in walk(rs, report.level, prune=outside, scan=True)]
+        runs[i:i + 2] = [runs[i] + fillers + runs[i + 1]]
+    return [[address for address, _ in run] for run in runs], total
+
+
+@pytest.mark.parametrize("name", ["hilbert", "peano", "dekking", "coil", "zorder3d", "coil3d"])
+def test_integer_runs_and_merges_match_fraction_intervals(name):
+    entry = catalog.builtin(name)
+    rs, kappa = entry.ruleset, entry.window_kappa
+    merged = 0
+    for q, merge_budget in _seeded_queries(rs, kappa, seed=len(name) + 1):
+        rep = cover_fragments(rs, q, kappa=kappa, merge_budget=merge_budget)
+        want = _fraction_fragments(rs, cover_tiles(rs, q, kappa=kappa), merge_budget)
+        assert (rep.fragments, rep.total_area) == want
+        merged += merge_budget is not None and rep.fragment_count < len(
+            cover_fragments(rs, q, kappa=kappa).fragments)
+    assert merged
+
+
 def _filtered_expansion(rs, q, level):
     """The tiles of the whole level-`level` expansion that meet q, in
     scanning order: the cover's definition, read off directly."""
@@ -491,3 +541,149 @@ def test_touching_counts_on_both_paths(monkeypatch, name):
         touched = [t for t in expand(rs, outcome[0])
                    if t.geometry.lo[0] == half and q.intersects_box(t.geometry)]
         assert touched and outcome[1] == _filtered_expansion(rs, q, outcome[0])
+
+
+def _boundary_set(name):
+    return parse_ruleset(OFF_ORIGIN) if name == "off-origin" else catalog.builtin(name).ruleset
+
+
+@pytest.mark.parametrize("name", ["hilbert", "coil3d", "off-origin"])
+def test_queries_on_the_unit_boundary(monkeypatch, name):
+    # center - h = lo or center + h = hi on some axes: still inside the unit
+    rs = _boundary_set(name)
+    base = rs.unit_rule.base
+    lo, hi = ([v.as_fraction() for v in corner] for corner in (base.lo, base.hi))
+    mid = [(l + h) / 2 for l, h in zip(lo, hi)]
+    r = window_radii(rs, 2, Fraction(2), 1)[0].as_fraction()
+    half = (r,) + (r / 2,) * (rs.dim - 1)
+    queries = []
+    for axis in range(rs.dim):
+        for end in (lo, hi):
+            toward = 1 if end is lo else -1
+            ball = list(mid)
+            ball[axis] = end[axis] + toward * r
+            box = list(mid)
+            box[axis] = end[axis] + toward * half[axis]
+            queries += [QueryRange("ball", ball, r), QueryRange("box", box, half_extents=half)]
+    for end, toward in ((lo, 1), (hi, -1)):          # touching a face on every axis
+        queries += [QueryRange("ball", [e + toward * r for e in end], r),
+                    QueryRange("box", [e + toward * h for e, h in zip(end, half)],
+                               half_extents=half)]
+    outcomes = _assert_covers_match_exact(monkeypatch, rs, [(q, None) for q in queries],
+                                          Fraction(2))
+    for q, outcome in zip(queries, outcomes[::2]):
+        assert outcome[0] == 2 and outcome[1] == _filtered_expansion(rs, q, 2)
+
+
+@pytest.mark.parametrize("name", ["hilbert", "coil3d", "off-origin"])
+def test_queries_just_outside_the_unit_fail_on_both_paths(monkeypatch, name):
+    rs = _boundary_set(name)
+    base = rs.unit_rule.base
+    lo, hi = ([v.as_fraction() for v in corner] for corner in (base.lo, base.hi))
+    mid = [(l + h) / 2 for l, h in zip(lo, hi)]
+    r, eps = window_radii(rs, 2, Fraction(2), 1)[0].as_fraction(), Fraction(1, 10 ** 9)
+    queries = []
+    for axis in range(rs.dim):
+        for center in (lo[axis] + r - eps, hi[axis] - r + eps):
+            c = list(mid)
+            c[axis] = center
+            queries += [QueryRange("ball", c, r), QueryRange("box", c, half_extents=(r,) * rs.dim)]
+    for table in (state_table(rs), None):
+        with monkeypatch.context() as m:
+            m.setattr(cover, "state_table", lambda rs, table=table: table)
+            for q in queries:
+                # a budget of 0 raises BudgetError at the first node visited
+                for run in (cover_tiles, cover_fragments):
+                    with pytest.raises(RuleError, match="not contained"):
+                        run(rs, q, budget=0)
+
+
+# -- canonical levels in integers against the Fraction loop ----------------------
+
+def _fraction_canonical_level(rs, r, kappa=Fraction(2)):
+    """The level found on Fractions by growing the window's top, kappa lam r,
+    by lam per level until it reaches the unit's reference side."""
+    r, kappa = Fraction(r), Fraction(kappa)
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    side = reference_side(rs).as_fraction()
+    lam = subdivision_ratio(rs).as_fraction()
+    hi = kappa * lam * r
+    if side > hi:
+        k = 0
+        while side > hi:                     # level k's side is side / lam**k
+            hi = hi * lam
+            k += 1
+            if k > MAX_LEVEL:
+                raise RuleError("no canonical level below %d" % MAX_LEVEL)
+        return k
+    if side * lam <= hi:                     # side <= hi / lam = kappa * r
+        raise RuleError("radius too large: level-0 window violated")
+    return 0
+
+
+def _level_outcome(f, *args):
+    try:
+        return f(*args)
+    except (RuleError, ValueError) as err:
+        return type(err), str(err)
+
+
+TABLE_SETS = [n for n in catalog.names() if state_table(catalog.builtin(n).ruleset) is not None]
+
+
+@pytest.mark.parametrize("name", TABLE_SETS)
+def test_integer_level_matches_the_fraction_loop(name):
+    entry = catalog.builtin(name)
+    rs, table = entry.ruleset, state_table(entry.ruleset)
+    base = rs.unit_rule.base
+    center = tuple((l + h).as_fraction() / 2 for l, h in zip(base.lo, base.hi))
+    side = reference_side(rs).as_fraction()
+    lam = subdivision_ratio(rs).as_fraction()
+    eps = Fraction(1, 10 ** 12)
+    for kappa in sorted({Fraction(2), Fraction(entry.window_kappa)}):
+        # side / (kappa lam**j) for j = k and k + 1, k = 0..6, 10^-12 off
+        # either side; and past the deepest level, 10^-12 of the radius off
+        radii = [side / (kappa * lam ** j) + s * eps for j in range(8) for s in (-1, 0, 1)]
+        radii += [side / (kappa * lam ** j) * (1 + s * eps) for j in (64, 65) for s in (-1, 0, 1)]
+        outcomes = set()
+        for r in radii:
+            want = _level_outcome(_fraction_canonical_level, rs, r, kappa)
+            assert _level_outcome(canonical_level, rs, r, kappa) == want
+            half = (r / 3, r) + (r / 2,) * (rs.dim - 2)
+            for q in (QueryRange("ball", center, r), QueryRange("box", center, half_extents=half)):
+                tq = _TableQuery.of(table, q, base.lo)
+                assert _level_outcome(tq.level, kappa) == want
+                assert _level_outcome(tq.level, coord(kappa)) == want
+                # kappa with a sqrt(3) part: the Coord branch of the same loop
+                assert (_level_outcome(tq.level, kappa * SQRT3)
+                        == _level_outcome(canonical_level, rs, r, kappa * SQRT3))
+            outcomes.add(want if isinstance(want, tuple) else "level")
+        # both errors occur, besides levels 0 to 64
+        assert outcomes == {"level", (RuleError, "radius too large: level-0 window violated"),
+                            (RuleError, "no canonical level below %d" % MAX_LEVEL)}
+
+
+# -- parameter intervals from integer numerators ---------------------------------
+
+@pytest.mark.parametrize("name", ["dekking", "hilbert"])
+def test_integer_intervals_match_fraction_intervals(name):
+    rs = catalog.builtin(name).ruleset
+    den = prefix_table(rs)[0]
+    for depth in range(4):
+        scale = den ** depth
+        for address, _, _, _, lo, length in walk(rs, depth):
+            want = Interval(Fraction(lo, scale), Fraction(lo + length, scale))
+            for got in (Interval.of(lo, lo + length, scale), tile_interval(rs, address)):
+                assert got == want
+                assert type(got.lo) is type(got.hi) is Fraction
+
+
+def test_integer_intervals_check_their_range():
+    for lo, hi, den in ((-1, 2, 4), (0, 5, 4), (3, 2, 4), (5, 5, 4), (-1, -1, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            Interval.of(lo, hi, den)
+        with pytest.raises(ValueError, match="out of range"):
+            Interval(Fraction(lo, den), Fraction(hi, den))
+    assert Interval.of(0, 4, 4) == Interval(0, 1)
+    assert Interval.of(2, 2, 4) == Interval(Fraction(1, 2), Fraction(1, 2))
